@@ -52,22 +52,22 @@ let phase ~seconds ~min_count ~max_seconds steps =
 (* Two load levels measured in alternating slices — one caller, then
    two, [rounds] times — so that a slow spell of the host lands on both
    levels instead of biasing one.  Rounds continue past [rounds] until
-   each level has [min_count] outcomes, up to [max_seconds] in all.
-   Returns (outcomes, wall) per level, walls summed over slices. *)
-let alternate ~seconds ~rounds ~min_count ~max_seconds one two =
+   each level has [min_count] outcomes, up to [max_seconds] in all;
+   [between k] runs after round [k], outside the slices.  Returns each
+   level's slices in order, each as (outcomes, wall). *)
+let alternate ~between ~seconds ~rounds ~min_count ~max_seconds one two =
   let slice = seconds /. float_of_int (2 * rounds) in
   let t0 = Clock.now () in
-  let rec go k (o1, w1, n1) (o2, w2, n2) =
+  let rec go k (o1, n1) (o2, n2) =
     if (k >= rounds && n1 >= min_count && n2 >= min_count) || Clock.now () -. t0 >= max_seconds
-    then ((List.concat (List.rev o1), w1), (List.concat (List.rev o2), w2))
+    then (List.rev o1, List.rev o2)
     else
-      let a, wa = phase ~seconds:slice ~min_count:0 ~max_seconds:slice one in
-      let b, wb = phase ~seconds:slice ~min_count:0 ~max_seconds:slice two in
-      go (k + 1)
-        (a :: o1, w1 +. wa, n1 + List.length a)
-        (b :: o2, w2 +. wb, n2 + List.length b)
+      let a = phase ~seconds:slice ~min_count:0 ~max_seconds:slice one in
+      let b = phase ~seconds:slice ~min_count:0 ~max_seconds:slice two in
+      between k;
+      go (k + 1) (a :: o1, n1 + List.length (fst a)) (b :: o2, n2 + List.length (fst b))
   in
-  go 0 ([], 0.0, 0) ([], 0.0, 0)
+  go 0 ([], 0) ([], 0)
 
 type summary = {
   attempted : int;
@@ -77,6 +77,9 @@ type summary = {
   p99_ms : float;
   tail : float option;  (** the highest percentile with ten samples beyond it. *)
 }
+
+(* All outcomes of [slices] and their summed wall time. *)
+let pooled slices = (List.concat_map fst slices, List.fold_left (fun w (_, dt) -> w +. dt) 0.0 slices)
 
 (* A failed request counts as missing every latency limit: it enters the
    percentiles as an infinite latency. *)

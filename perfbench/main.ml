@@ -14,10 +14,16 @@ open Perfbench
 
 let dna = Alphabet.dna
 let out_dir = Filename.concat ".bench_build" "perfbench"
-let setup_reps = 3
+let setup_reps = 7
 let min_count = 1000
 let rounds = 6
 let max_measure_seconds = 100.0
+
+(* The stated tolerance on prepare.coverage and execute.coverage: the
+   replicas of Eval.prepare and Eval.execute must account for this share
+   of the real calls' time, or the traced run fails. *)
+let coverage_lo = 0.8
+let coverage_hi = 1.2
 
 let rec mkdir_p d =
   if not (Sys.file_exists d) then begin
@@ -107,13 +113,13 @@ let serve_setup ~seed =
       s
 
 (* Reference answers for served requests: one per template on serve_hot,
-   one per distinct request on plan_cold. *)
-let served_expected ~workload s outcomes =
+   one per distinct request of [queries] on plan_cold. *)
+let served_expected ~workload s queries =
   if workload = "serve_hot" then begin
     let refs = Array.map (reference_run ~store:s.store s.db) (Mix.v1_mix ()) in
     fun q -> refs.(q.Mix.kind)
   end
-  else references_parallel ~store:s.store s.db (List.map (fun o -> o.Load.query) outcomes)
+  else references_parallel ~store:s.store s.db queries
 
 let bulk_setup ~seed =
   let db = Mix.bulk_db ~seed in
@@ -121,19 +127,86 @@ let bulk_setup ~seed =
   Array.iter (fun b -> ignore (reference_run db b.Mix.query)) mix;
   (db, mix)
 
-(* Set up [setup_reps] times from a cold engine and keep the last;
-   setup_s is the median. *)
-let repeated_setup setup release =
-  let rec go k acc =
-    Layers.clear_engine_caches ();
-    let s, dt = Clock.time setup in
-    if k = 1 then (s, Stats.median (Array.of_list (dt :: acc)))
-    else begin
-      release s;
-      go (k - 1) (dt :: acc)
-    end
-  in
-  go setup_reps []
+(* One set-up from a cold engine and a compacted heap, timed. *)
+let fresh_setup setup =
+  Layers.clear_engine_caches ();
+  Gc.compact ();
+  Clock.time setup
+
+(* A child, forked before any set-up and any domain, that makes and
+   times one more set-up each time it is asked.  A set-up takes well
+   under a second and this host's speed drifts over seconds, so set-ups
+   made back to back sample one moment of the host, where set-ups spread
+   over the run's measurement rounds sample it as the throughput metrics
+   do.  The parent cannot make them itself once it has spawned a domain
+   (OCaml 5 refuses [Unix.fork] then, and the served set-up forks its
+   server); in a child they also leave the parent's heap and engine
+   caches as the measurement left them. *)
+type setup_timer = { pid : int; req : out_channel; res : in_channel; mutable stopped : bool }
+
+let setup_timer setup release =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let res_r, res_w = Unix.pipe ~cloexec:true () in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      Unix.close req_w;
+      Unix.close res_r;
+      let req = Unix.in_channel_of_descr req_r and res = Unix.out_channel_of_descr res_w in
+      let rec serve () =
+        match input_char req with
+        | 's' ->
+            let s, dt = fresh_setup setup in
+            release s;
+            Printf.fprintf res "%h\n%!" dt;
+            serve ()
+        | _ | (exception End_of_file) -> ()
+      in
+      Unix._exit (match serve () with () -> 0 | exception _ -> 2)
+  | pid ->
+      Unix.close req_r;
+      Unix.close res_w;
+      { pid; req = Unix.out_channel_of_descr req_w; res = Unix.in_channel_of_descr res_r; stopped = false }
+
+let time_setup t =
+  output_char t.req 's';
+  flush t.req;
+  match input_line t.res with
+  | line -> float_of_string line
+  | exception End_of_file -> failwith "perfbench: the set-up timer died"
+
+(* An explicit quit: the served set-ups' server children hold copies of
+   the request pipe, so the timer would not see it close. *)
+let stop_timer t =
+  if not t.stopped then begin
+    t.stopped <- true;
+    (try
+       output_char t.req 'q';
+       close_out t.req
+     with Sys_error _ -> ());
+    close_in_noerr t.res;
+    Serve.waitpid_retry t.pid
+  end
+
+(* The kept set-up, made first; [between k], which Load.alternate calls
+   after measurement round [k], has the timer make one more after each
+   of the first [setup_reps - 1] rounds; [finish ()] stops the timer and
+   gives every set-up's time.  setup_s is their median. *)
+let spread_setups setup release =
+  let timer = setup_timer setup release in
+  match fresh_setup setup with
+  | exception e ->
+      stop_timer timer;
+      raise e
+  | kept, dt ->
+      let times = ref [ dt ] in
+      let between k = if k < setup_reps - 1 then times := time_setup timer :: !times in
+      let finish () =
+        stop_timer timer;
+        List.rev !times
+      in
+      (kept, between, finish)
 
 (* Round-robin over [mix], starting at [offset]. *)
 let round_robin mix offset =
@@ -216,25 +289,29 @@ let tail_json names outcomes =
 (* ------------------------------------------------------- end to end *)
 
 let end_to_end ~workload ~seed ~seconds =
-  let measure one two =
-    Load.alternate ~seconds ~rounds ~min_count ~max_seconds:max_measure_seconds one two
+  let measure between one two =
+    Load.alternate ~between ~seconds ~rounds ~min_count ~max_seconds:max_measure_seconds one two
   in
-  let (one, wall1), (two, wall2), setup_s, expected, sanity, names =
+  let slices1, slices2, setups, expected, sanity, names =
     match workload with
     | "scan_bulk" ->
-        let (db, mix), setup_s = repeated_setup (fun () -> bulk_setup ~seed) ignore in
+        let (db, mix), between, finish = spread_setups (fun () -> bulk_setup ~seed) ignore in
         let queries = Mix.rotate Mix.bulk_rotation (Array.map (fun b -> b.Mix.query) mix) in
         let step offset =
           let next = round_robin queries offset in
           fun () -> Load.in_process dna db (next ())
         in
-        let r1, r2 = measure [ step 0 ] [ step 0; step (Array.length queries / 2) ] in
+        let r1, r2 =
+          Fun.protect ~finally:(fun () -> ignore (finish ())) @@ fun () ->
+          measure between [ step 0 ] [ step 0; step (Array.length queries / 2) ]
+        in
+        let setups = finish () in
         let refs = Array.map (fun b -> b.Mix.reference ()) mix in
-        (r1, r2, setup_s, (fun q -> refs.(q.Mix.kind)), [ ("store_probes", 0) ],
+        (r1, r2, setups, (fun q -> refs.(q.Mix.kind)), [ ("store_probes", 0) ],
          Array.map (fun b -> b.Mix.query.Mix.name) mix)
     | _ ->
-        let s, setup_s = repeated_setup (fun () -> serve_setup ~seed) close_served in
-        Fun.protect ~finally:(fun () -> close_served s) @@ fun () ->
+        let s, between, finish = spread_setups (fun () -> serve_setup ~seed) close_served in
+        Fun.protect ~finally:(fun () -> close_served s; ignore (finish ())) @@ fun () ->
         let mix = Mix.v1_mix () in
         let next =
           if workload = "serve_hot" then round_robin (Mix.rotate Mix.serve_rotation mix)
@@ -247,12 +324,18 @@ let end_to_end ~workload ~seed ~seconds =
           fun () -> Load.over_wire c (next ())
         in
         let before = Serve.stats s.conns.(0) in
-        let r1, r2 = measure [ step s.conns.(0) 0 ] [ step s.conns.(0) 0; step s.conns.(1) 4 ] in
+        let r1, r2 =
+          measure between [ step s.conns.(0) 0 ] [ step s.conns.(0) 0; step s.conns.(1) 4 ]
+        in
+        let setups = finish () in
         let after = Serve.stats s.conns.(0) in
         close_served s;
         let d = Serve.delta before after in
         let probes_before = (Store.probe_stats s.store).Store.probes in
-        let expected = served_expected ~workload s (fst r1 @ fst r2) in
+        let expected =
+          served_expected ~workload s
+            (List.concat_map (fun (o, _) -> List.map (fun o -> o.Load.query) o) (r1 @ r2))
+        in
         let sanity =
           [
             ("plan_cache_hits", d "plan_cache_hits");
@@ -262,9 +345,15 @@ let end_to_end ~workload ~seed ~seconds =
             ("store_probes", (Store.probe_stats s.store).Store.probes - probes_before);
           ]
         in
-        (r1, r2, setup_s, expected, sanity, Mix.template_names)
+        (r1, r2, setups, expected, sanity, Mix.template_names)
   in
+  let setup_s = Stats.median (Array.of_list setups) in
+  let (one, wall1), (two, wall2) = (Load.pooled slices1, Load.pooled slices2) in
   let s1 = Load.summarize one wall1 and s2 = Load.summarize two wall2 in
+  let slice_qps slices =
+    Json.List
+      (List.map (fun (o, w) -> Json.Num (float_of_int (List.length o) /. w)) slices)
+  in
   let attempted = s1.Load.attempted + s2.Load.attempted in
   let failed = failures expected one + failures expected two in
   let get k = List.assoc k sanity in
@@ -301,11 +390,14 @@ let end_to_end ~workload ~seed ~seconds =
     [
       ("one_connection", summary_json s1 wall1);
       ("two_connections", summary_json s2 wall2);
+      ("slice_qps_1conn", slice_qps slices1);
+      ("slice_qps_2conn", slice_qps slices2);
       ("quartiles_ms_by_query_1conn", kinds_json names one);
       ("quartiles_ms_by_query_2conn", kinds_json names two);
       ("beyond_p99_by_query_1conn", tail_json names one);
       ("beyond_p99_by_query_2conn", tail_json names two);
       ("setup_s", Json.Num setup_s);
+      ("setup_reps_s", Json.List (List.map (fun x -> Json.Num x) setups));
       ("failed_share", Json.Num failed_share);
       ("sanity", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) sanity));
     ];
@@ -327,7 +419,8 @@ type subject = {
   replay : Mix.query -> Mix.query;  (** pass B's request, given pass A's. *)
   analysed : Mix.query list -> Mix.query list * int;
       (** pass C's queries and repetitions, given pass B's stream. *)
-  expected : (Mix.query -> Database.tuple list) option;  (** to check pass A. *)
+  references : Mix.query list -> Mix.query -> Database.tuple list;
+      (** reference answers for the given requests, to check pass A. *)
   stats : string -> int;  (** server [STATS] deltas over the wire passes (0 without). *)
   wire1 : Load.outcome list;
   wire2 : Load.outcome list;
@@ -353,13 +446,14 @@ let subject ~workload ~seed ~short =
       let w1, w2 = wire_passes ~short ~min_count:100 step in
       let refs = Array.map (fun b -> b.Mix.reference ()) bulk in
       let expected q = refs.(q.Mix.kind) in
+      let references _ = expected in
       {
         names = Array.map (fun q -> q.Mix.name) distinct;
         path = { Layers.sigma = dna; db; store = None; cache = None };
         next = round_robin rotation 0;
         replay = Fun.id;
         analysed = (fun _ -> (Array.to_list distinct, 5));
-        expected = Some expected;
+        references;
         stats = (fun _ -> 0);
         wire1 = w1;
         wire2 = w2;
@@ -383,7 +477,8 @@ let subject ~workload ~seed ~short =
         let passes = wire_passes ~short ~min_count:200 step in
         (passes, Serve.stats s.conns.(0))
       in
-      let expected = served_expected ~workload s (w1 @ w2) in
+      let references = served_expected ~workload s in
+      let expected = references (List.map (fun o -> o.Load.query) (w1 @ w2)) in
       let hot = workload = "serve_hot" in
       {
         names = Mix.template_names;
@@ -398,7 +493,7 @@ let subject ~workload ~seed ~short =
         replay = (if hot then Fun.id else fun _ -> Mix.next_cold cold);
         analysed =
           (fun b -> if hot then (Array.to_list mix, 5) else (List.filteri (fun i _ -> i < 64) b, 1));
-        expected = None;
+        references;
         stats = Serve.delta before after;
         wire1 = w1;
         wire2 = w2;
@@ -444,9 +539,8 @@ let traced ~workload ~seed ~seconds =
   let n_a = float_of_int (List.length a) in
   let a_total = List.fold_left (fun s (_, _, dt) -> s +. dt) 0.0 a in
   let a_failed =
-    match sub.expected with
-    | Some expected -> List.length (List.filter (fun (q, r, _) -> r <> Ok (expected q)) a)
-    | None -> 0
+    let expected = sub.references (List.map (fun (q, _, _) -> q) a) in
+    List.length (List.filter (fun (q, r, _) -> r <> Ok (expected q)) a)
   in
   let c1 = Compile.stats () and l1 = Limitation.cache_stats () and r1 = Runtime.stats () in
   let n_b = float_of_int (List.length b_queries) in
@@ -565,6 +659,17 @@ let traced ~workload ~seed ~seconds =
     ]
   in
   List.iter (fun m -> say "%-24s %.6g %s" m.name m.value m.unit_) metrics;
+  let off_coverage =
+    List.filter
+      (fun m ->
+        List.mem m.name [ "prepare.coverage"; "execute.coverage" ]
+        && not (m.value >= coverage_lo && m.value <= coverage_hi))
+      metrics
+  in
+  List.iter
+    (fun m ->
+      say "sanity check FAILED: %s = %.3f, outside %.1f–%.1f" m.name m.value coverage_lo coverage_hi)
+    off_coverage;
   mkdir_p out_dir;
   let stem = Printf.sprintf "%s-seed%d" workload seed in
   Trace.write trb (Filename.concat out_dir (stem ^ "-request-spans.jsonl"));
@@ -579,7 +684,7 @@ let traced ~workload ~seed ~seconds =
     ];
   let attempted = List.length sub.wire1 + List.length sub.wire2 + List.length a in
   let failed = sub.wire_failed + a_failed in
-  (failed = 0, attempted, failed, metrics)
+  (failed = 0 && off_coverage = [], attempted, failed, metrics)
 
 (* -------------------------------------------------------------- main *)
 

@@ -2,7 +2,7 @@
 """Run the benchmark on several seeds and report each metric's spread.
 
     python3 perfbench/spread.py --seeds 1-10 [--workloads serve_hot,plan_cold]
-        [--held-out 1001] [--trace 0] [--out perfbench/results/record.json]
+        [--held-out 1001] [--out perfbench/results/record.json]
 
 For every workload and end-to-end metric this prints the median, the
 quartiles (Python's statistics.quantiles, n=4) and the spread
@@ -36,9 +36,9 @@ def seeds_of(spec):
     return out
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, seconds):
     cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -69,7 +69,6 @@ def main():
     ap.add_argument("--seeds", default="1-10")
     ap.add_argument("--workloads", default=None)
     ap.add_argument("--held-out", type=int, default=None)
-    ap.add_argument("--trace", type=int, default=0)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
@@ -85,7 +84,6 @@ def main():
         "commit": tool_version(["git", "-C", ROOT, "describe", "--always", "--dirty"])
         or "unknown",
         "run_seconds": seconds,
-        "trace": args.trace,
         "seeds": seeds_of(args.seeds),
         "workloads": {},
     }
@@ -93,28 +91,27 @@ def main():
     for w in workloads:
         runs = []
         for seed in record["seeds"]:
-            runs.append(run_once(w, seed, seconds, args.trace))
+            runs.append(run_once(w, seed, seconds))
             print(f"{w} seed {seed}: " + ", ".join(f"{k}={v:.4g}" for k, v in runs[-1].items()),
                   flush=True)
         stats = {k: describe([r[k] for r in runs]) for k in runs[0]}
         entry = {"metrics": stats}
         if args.held_out is not None:
             entry["held_out"] = {"seed": args.held_out,
-                                 "metrics": run_once(w, args.held_out, seconds, args.trace)}
+                                 "metrics": run_once(w, args.held_out, seconds)}
         record["workloads"][w] = entry
         print(f"\n{w}:")
         for k, s in stats.items():
             bound = bounds.get(k)
             flag = ""
-            if bound is not None and k != "setup_s":
+            if bound is not None:
                 worst = max(worst, s["spread"] / bound)
                 flag = "  > bound/3" if s["spread"] > bound / 3 else ""
             print(f"  {k:14s} median {s['median']:10.4g}  q1 {s['q1']:10.4g}  "
                   f"q3 {s['q3']:10.4g}  spread {s['spread']:.3f}"
                   + (f"  bound {bound}" if bound is not None else "") + flag)
         print(flush=True)
-    if args.trace == 0:
-        print(f"largest spread / bound (setup_s excluded): {worst:.3f}")
+    print(f"largest spread / bound: {worst:.3f}")
     if args.out:
         os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         with open(args.out, "w") as f:
