@@ -24,17 +24,24 @@ let in_process sigma db query =
 
 (* Run [List.length steps] closed loops until [seconds] have passed and
    at least [min_count] requests completed in total, or [max_seconds]
-   have passed.  Returns every outcome and the wall time. *)
-let phase ~seconds ~min_count ~max_seconds steps =
+   have passed.  Caller 0 calls [pause] before each request; the time
+   spent in it is left out of the wall time.  Returns every outcome and
+   the wall time. *)
+let phase ?(pause = ignore) ~seconds ~min_count ~max_seconds steps =
   let count = Atomic.make 0 in
   let t0 = Clock.now () in
+  let paused = ref 0.0 in
   let go () =
     let el = Clock.now () -. t0 in
     el < max_seconds && (el < seconds || Atomic.get count < min_count)
   in
-  let loop step () =
+  let loop ~first step () =
     let acc = ref [] in
     while go () do
+      if first then begin
+        let (), dt = Clock.time pause in
+        paused := !paused +. dt
+      end;
       acc := step () :: !acc;
       Atomic.incr count
     done;
@@ -43,26 +50,28 @@ let phase ~seconds ~min_count ~max_seconds steps =
   match steps with
   | [] -> invalid_arg "Load.phase: no callers"
   | first :: others ->
-      let domains = List.map (fun s -> Domain.spawn (loop s)) others in
-      let mine = loop first () in
+      let domains = List.map (fun s -> Domain.spawn (loop ~first:false s)) others in
+      let mine = loop ~first:true first () in
       let theirs = List.map Domain.join domains in
-      let wall = Clock.now () -. t0 in
+      let wall = Clock.now () -. t0 -. !paused in
       (List.concat (mine :: theirs), wall)
 
 (* Two load levels measured in alternating slices — one caller, then
    two, [rounds] times — so that a slow spell of the host lands on both
    levels instead of biasing one.  Rounds continue past [rounds] until
    each level has [min_count] outcomes, up to [max_seconds] in all;
-   [between k] runs after round [k], outside the slices.  Returns each
-   level's slices in order, each as (outcomes, wall). *)
-let alternate ~between ~seconds ~rounds ~min_count ~max_seconds one two =
+   [between k] runs after round [k], outside the slices; [pause] runs
+   between the requests of one-caller slices, outside their wall time
+   (with two callers on two cores it would measure their contention).
+   Returns each level's slices in order, each as (outcomes, wall). *)
+let alternate ~between ~pause ~seconds ~rounds ~min_count ~max_seconds one two =
   let slice = seconds /. float_of_int (2 * rounds) in
   let t0 = Clock.now () in
   let rec go k (o1, n1) (o2, n2) =
     if (k >= rounds && n1 >= min_count && n2 >= min_count) || Clock.now () -. t0 >= max_seconds
     then (List.rev o1, List.rev o2)
     else
-      let a = phase ~seconds:slice ~min_count:0 ~max_seconds:slice one in
+      let a = phase ~pause ~seconds:slice ~min_count:0 ~max_seconds:slice one in
       let b = phase ~seconds:slice ~min_count:0 ~max_seconds:slice two in
       between k;
       go (k + 1) (a :: o1, n1 + List.length (fst a)) (b :: o2, n2 + List.length (fst b))
@@ -102,6 +111,11 @@ let summarize outcomes wall =
     p99_ms = pct 99.0;
     tail = Stats.highest_percentile n;
   }
+
+(* [s] as on a host [slowness] times faster: latencies divided by it,
+   throughput multiplied. *)
+let at_reference slowness s =
+  { s with qps = s.qps *. slowness; p50_ms = s.p50_ms /. slowness; p99_ms = s.p99_ms /. slowness }
 
 (* Median latency per template kind, in ms (kinds with no sample omitted). *)
 let median_by_kind outcomes =

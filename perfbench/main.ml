@@ -16,7 +16,7 @@ let dna = Alphabet.dna
 let out_dir = Filename.concat ".bench_build" "perfbench"
 let setup_reps = 7
 let min_count = 1000
-let rounds = 6
+let rounds = 10
 let max_measure_seconds = 100.0
 
 (* The stated tolerance on prepare.coverage and execute.coverage: the
@@ -24,6 +24,12 @@ let max_measure_seconds = 100.0
    of the real calls' time, or the traced run fails. *)
 let coverage_lo = 0.8
 let coverage_hi = 1.2
+
+(* Pass C's repetitions of each fixed-mix query.  Coverage compares the
+   median real call with the median replica; with five repetitions a
+   switch of the host's speed between them moved scan_bulk's
+   prepare.coverage between 0.94 and 1.15 from seed to seed. *)
+let stage_reps = 15
 
 let rec mkdir_p d =
   if not (Sys.file_exists d) then begin
@@ -192,16 +198,23 @@ let stop_timer t =
 (* The kept set-up, made first; [between k], which Load.alternate calls
    after measurement round [k], has the timer make one more after each
    of the first [setup_reps - 1] rounds; [finish ()] stops the timer and
-   gives every set-up's time.  setup_s is their median. *)
-let spread_setups setup release =
+   gives every set-up's time as measured and at the reference speed
+   (divided by the slowness the gauge reads around it).  setup_s is the
+   median of the latter. *)
+let spread_setups gauge setup release =
   let timer = setup_timer setup release in
-  match fresh_setup setup with
+  match Speed.around gauge (fun () -> fresh_setup setup) with
   | exception e ->
       stop_timer timer;
       raise e
-  | kept, dt ->
-      let times = ref [ dt ] in
-      let between k = if k < setup_reps - 1 then times := time_setup timer :: !times in
+  | (kept, dt), slow ->
+      let times = ref [ (dt, dt /. slow) ] in
+      let between k =
+        if k < setup_reps - 1 then begin
+          let dt, slow = Speed.around gauge (fun () -> time_setup timer) in
+          times := (dt, dt /. slow) :: !times
+        end
+      in
       let finish () =
         stop_timer timer;
         List.rev !times
@@ -255,12 +268,11 @@ let write_record ~workload ~seed ~seconds ~trace fields =
   output_char oc '\n';
   close_out oc
 
-let summary_json (s : Load.summary) wall =
+let summary_json (s : Load.summary) =
   Json.Obj
     [
       ("samples", Json.Int s.Load.attempted);
       ("completed", Json.Int s.Load.completed);
-      ("wall_s", Json.Num wall);
       ("qps", Json.Num s.Load.qps);
       ("p50_ms", Json.Num s.Load.p50_ms);
       ("p99_ms", Json.Num s.Load.p99_ms);
@@ -289,14 +301,17 @@ let tail_json names outcomes =
 (* ------------------------------------------------------- end to end *)
 
 let end_to_end ~workload ~seed ~seconds =
+  let gauge = Speed.create () in
   let measure between one two =
-    Load.alternate ~between ~seconds ~rounds ~min_count ~max_seconds:max_measure_seconds one two
+    Load.alternate ~between
+      ~pause:(fun () -> Speed.tick gauge)
+      ~seconds ~rounds ~min_count ~max_seconds:max_measure_seconds one two
   in
   let slices1, slices2, setups, expected, sanity, names =
     match workload with
     | "scan_bulk" ->
-        let (db, mix), between, finish = spread_setups (fun () -> bulk_setup ~seed) ignore in
-        let queries = Mix.rotate Mix.bulk_rotation (Array.map (fun b -> b.Mix.query) mix) in
+        let (db, mix), between, finish = spread_setups gauge (fun () -> bulk_setup ~seed) ignore in
+        let queries = Mix.bulk_cycle mix in
         let step offset =
           let next = round_robin queries offset in
           fun () -> Load.in_process dna db (next ())
@@ -310,7 +325,7 @@ let end_to_end ~workload ~seed ~seconds =
         (r1, r2, setups, (fun q -> refs.(q.Mix.kind)), [ ("store_probes", 0) ],
          Array.map (fun b -> b.Mix.query.Mix.name) mix)
     | _ ->
-        let s, between, finish = spread_setups (fun () -> serve_setup ~seed) close_served in
+        let s, between, finish = spread_setups gauge (fun () -> serve_setup ~seed) close_served in
         Fun.protect ~finally:(fun () -> close_served s; ignore (finish ())) @@ fun () ->
         let mix = Mix.v1_mix () in
         let next =
@@ -347,12 +362,15 @@ let end_to_end ~workload ~seed ~seconds =
         in
         (r1, r2, setups, expected, sanity, Mix.template_names)
   in
-  let setup_s = Stats.median (Array.of_list setups) in
   let (one, wall1), (two, wall2) = (Load.pooled slices1, Load.pooled slices2) in
-  let s1 = Load.summarize one wall1 and s2 = Load.summarize two wall2 in
+  let r1 = Load.summarize one wall1 and r2 = Load.summarize two wall2 in
+  (* At the reference speed: times divided by the run's slowness, rates
+     multiplied; each set-up by the slowness read around it. *)
+  let slowness = Speed.slowness gauge in
+  let s1 = Load.at_reference slowness r1 and s2 = Load.at_reference slowness r2 in
+  let setup_s = Stats.median (Array.of_list (List.map snd setups)) in
   let slice_qps slices =
-    Json.List
-      (List.map (fun (o, w) -> Json.Num (float_of_int (List.length o) /. w)) slices)
+    Json.List (List.map (fun (o, w) -> Json.Num (float_of_int (List.length o) /. w)) slices)
   in
   let attempted = s1.Load.attempted + s2.Load.attempted in
   let failed = failures expected one + failures expected two in
@@ -367,7 +385,7 @@ let end_to_end ~workload ~seed ~seconds =
          "plan_cold expects plan-cache hit ratio 0.0 and no BUSY")
     | _ -> (get "store_probes" = 0, "scan_bulk expects no index probes")
   in
-  let metrics =
+  let metrics_of setup_s s1 s2 =
     [
       { name = "setup_s"; value = setup_s; unit_ = "s" };
       { name = "qps"; value = s1.Load.qps; unit_ = "queries/s" };
@@ -378,9 +396,16 @@ let end_to_end ~workload ~seed ~seconds =
       { name = "p99_ms_2conn"; value = s2.Load.p99_ms; unit_ = "ms" };
     ]
   in
+  let metrics = metrics_of setup_s s1 s2 in
+  let raw = metrics_of (Stats.median (Array.of_list (List.map fst setups))) r1 r2 in
+  let readings = Speed.readings gauge in
   let failed_share = float_of_int failed /. float_of_int (max 1 attempted) in
-  List.iter (fun m -> say "%-14s %.6g %s" m.name m.value m.unit_) metrics;
+  List.iter2
+    (fun m r -> say "%-14s %.6g %s  (as measured: %.6g)" m.name m.value m.unit_ r.value)
+    metrics raw;
   say "%-14s %.6g fraction" "failed_share" failed_share;
+  say "slowness       %.4f (interquartile mean of %d gauge readings over the reference %g ms)" slowness
+    (Array.length readings) (Speed.reference *. 1e3);
   let tail s = match s.Load.tail with Some p -> Printf.sprintf "p%g" p | None -> "none" in
   say "samples: %d at 1 connection, %d at 2 (highest percentile with ten beyond: %s/%s)"
     s1.Load.attempted s2.Load.attempted (tail s1) (tail s2);
@@ -388,8 +413,8 @@ let end_to_end ~workload ~seed ~seconds =
   if not sane then say "sanity check FAILED: %s" why;
   write_record ~workload ~seed ~seconds ~trace:false
     [
-      ("one_connection", summary_json s1 wall1);
-      ("two_connections", summary_json s2 wall2);
+      ("one_connection", summary_json s1);
+      ("two_connections", summary_json s2);
       ("slice_qps_1conn", slice_qps slices1);
       ("slice_qps_2conn", slice_qps slices2);
       ("quartiles_ms_by_query_1conn", kinds_json names one);
@@ -397,7 +422,11 @@ let end_to_end ~workload ~seed ~seconds =
       ("beyond_p99_by_query_1conn", tail_json names one);
       ("beyond_p99_by_query_2conn", tail_json names two);
       ("setup_s", Json.Num setup_s);
-      ("setup_reps_s", Json.List (List.map (fun x -> Json.Num x) setups));
+      ("setup_reps_s", Json.List (List.map (fun (x, _) -> Json.Num x) setups));
+      ("setup_reps_s_at_reference", Json.List (List.map (fun (_, x) -> Json.Num x) setups));
+      ("slowness", Json.Num slowness);
+      ("gauge_ms", Json.List (List.map (fun x -> Json.Num (x *. 1e3)) (Array.to_list readings)));
+      ("as_measured", Json.Obj (List.map (fun m -> (m.name, Json.Num m.value)) raw));
       ("failed_share", Json.Num failed_share);
       ("sanity", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) sanity));
     ];
@@ -438,7 +467,7 @@ let subject ~workload ~seed ~short =
   | "scan_bulk" ->
       let db, bulk = bulk_setup ~seed in
       let distinct = Array.map (fun b -> b.Mix.query) bulk in
-      let rotation = Mix.rotate Mix.bulk_rotation distinct in
+      let rotation = Mix.bulk_cycle bulk in
       let step c =
         let next = round_robin rotation (c * Array.length rotation / 2) in
         fun () -> Load.in_process dna db (next ())
@@ -452,7 +481,10 @@ let subject ~workload ~seed ~short =
         path = { Layers.sigma = dna; db; store = None; cache = None };
         next = round_robin rotation 0;
         replay = Fun.id;
-        analysed = (fun _ -> (Array.to_list distinct, 5));
+        analysed =
+          (fun _ ->
+            ( Array.to_list (Array.map (fun b -> b.Mix.query) (Mix.bulk_at_level bulk Mix.bulk_mid_level)),
+              stage_reps ));
         references;
         stats = (fun _ -> 0);
         wire1 = w1;
@@ -492,7 +524,7 @@ let subject ~workload ~seed ~short =
         next = stream 0;
         replay = (if hot then Fun.id else fun _ -> Mix.next_cold cold);
         analysed =
-          (fun b -> if hot then (Array.to_list mix, 5) else (List.filteri (fun i _ -> i < 64) b, 1));
+          (fun b -> if hot then (Array.to_list mix, stage_reps) else (List.filteri (fun i _ -> i < 64) b, 1));
         references;
         stats = Serve.delta before after;
         wire1 = w1;

@@ -28,7 +28,11 @@ let percentile_rule () =
   check "highest percentile at n=100 is p90" (Stats.highest_percentile 100 = Some 90.0);
   check "no tail percentile at n=15" (Stats.highest_percentile 15 = None);
   check "p100 is the maximum" (Stats.percentile a 100.0 = 1000.0);
-  check "p0 is the minimum" (Stats.percentile a 0.0 = 1.0)
+  check "p0 is the minimum" (Stats.percentile a 0.0 = 1.0);
+  check "interquartile mean drops a quarter at each end"
+    (Stats.interquartile_mean [| 100.; 1.; 2.; 3.; 4.; 5.; 6.; -50. |] = 3.5);
+  check "interquartile mean of three is their mean"
+    (Stats.interquartile_mean [| 1.; 2.; 6. |] = 3.0)
 
 let span id name parent start stop =
   { Trace.id; name; req = 0; parent; start = Int64.of_int start; stop = Int64.of_int stop }

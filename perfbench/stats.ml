@@ -35,3 +35,12 @@ let mean a =
   else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
 let ratio num den = if den = 0.0 then 0.0 else num /. den
+
+(* The mean of the middle half: the samples from rank ⌊n/4⌋ to
+   n − 1 − ⌊n/4⌋.  It follows a two-mode sample's mix as the mean does,
+   where the median jumps between the modes, and it drops outliers. *)
+let interquartile_mean a =
+  let n = Array.length a in
+  if n = 0 then invalid_arg "Stats.interquartile_mean: no samples";
+  let k = n / 4 in
+  mean (Array.sub (sorted a) k (n - (2 * k)))
