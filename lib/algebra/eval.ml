@@ -174,7 +174,7 @@ let describe_conjunct = function
 
 (* Shape-and-size cost of a string-formula conjunct under a variable
    order: the key for cheap-first conjunct ordering.  One-way automata
-   run the linear frontier kernel, so they filter (and generate) for
+   run a linear kernel (DFA or frontier), so they filter (and generate) for
    less than a same-sized two-way automaton; ties break on automaton
    size.  Compilation is memoized, so planning pays this once. *)
 let conjunct_cost sigma ~vars s =

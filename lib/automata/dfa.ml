@@ -8,53 +8,160 @@ type t = {
   delta : int array array;
 }
 
-let of_nfa sigma (nfa : Nfa.t) =
-  let module SM = Map.Make (struct
-    type t = int list
+(* Sets of NFA states as bitsets, [word] states to an int. *)
+let word = Sys.int_size - 1
 
-    let compare = compare
-  end) in
+module Subsets = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+
+  (* Every word of a subset of up to 256 × [word] states. *)
+  let hash = Hashtbl.hash_param 256 256
+end)
+
+(* The states of a bitset. *)
+let members_of (b : int array) =
+  let acc = ref [] in
+  Array.iteri
+    (fun w x ->
+      let x = ref x and q = ref (w * word) in
+      while !x <> 0 do
+        if !x land 1 <> 0 then acc := !q :: !acc;
+        x := !x lsr 1;
+        incr q
+      done)
+    b;
+  Array.of_list !acc
+
+(* The subset construction over bitsets.  Each NFA state's ε-closed
+   successors on every character form one row of bitsets, built the
+   first time the state shows up in a subset; a subset's successors on
+   all characters are then the word-wise union of its members' rows.
+   Subsets are interned by bitset and numbered in discovery order, and
+   a FIFO queue fills their rows in that order.  Two canonicalisations keep the subsets few without changing
+   their languages: states that neither read a character nor accept are
+   dropped once their ε-moves are followed, and a subset holding a
+   universal NFA state — final, with a self-loop on every character —
+   accepts every suffix, so it is interned as that state alone (the
+   accept sink of a halting automaton then costs one DFA state instead of
+   one per subset that contains it). *)
+let determinize ~max_states sigma (nfa : Nfa.t) =
   let k = A.size sigma in
-  let start_set = Nfa.eps_closure nfa [ nfa.start ] in
-  let ids = ref (SM.singleton start_set 0) in
-  let rows = ref [] (* reversed list of transition rows *) in
-  let finals = ref [] in
-  let next_id = ref 1 in
-  let rec explore queue =
-    match queue with
-    | [] -> ()
-    | set :: rest ->
-        let row = Array.make k 0 in
-        let new_sets = ref [] in
-        for r = 0 to k - 1 do
-          let c = A.nth sigma r in
-          let succ = Nfa.step nfa set c in
-          let id =
-            match SM.find_opt succ !ids with
-            | Some id -> id
-            | None ->
-                let id = !next_id in
-                incr next_id;
-                ids := SM.add succ id !ids;
-                new_sets := succ :: !new_sets;
-                id
-          in
-          row.(r) <- id
-        done;
-        rows := row :: !rows;
-        if List.exists (fun q -> List.mem q nfa.finals) set then
-          finals := SM.find set !ids :: !finals;
-        explore (rest @ List.rev !new_sets)
+  let n = nfa.num_states in
+  let words = (n + word - 1) / word in
+  let eps = Array.make n [] and on = Array.make (n * k) [] in
+  List.iter
+    (fun (p, l, q) ->
+      match l with
+      | None -> eps.(p) <- q :: eps.(p)
+      | Some c when A.mem sigma c ->
+          let i = (p * k) + A.rank sigma c in
+          on.(i) <- q :: on.(i)
+      | Some _ -> ())
+    nfa.edges;
+  let mark b off q =
+    let w = off + (q / word) in
+    b.(w) <- b.(w) lor (1 lsl (q mod word))
   in
-  explore [ start_set ];
-  let num_states = !next_id in
-  let delta = Array.of_list (List.rev !rows) in
-  (* rows were produced in BFS id order because sets are dequeued in id
-     order; assert the invariant. *)
-  assert (Array.length delta = num_states);
-  let fin = Array.make num_states false in
-  List.iter (fun q -> fin.(q) <- true) !finals;
-  { sigma; num_states; start = 0; finals = fin; delta }
+  (* Mark the ε-closure of [qs] into [b] at word offset [off]. *)
+  let close b off qs =
+    let rec visit q =
+      if b.(off + (q / word)) land (1 lsl (q mod word)) = 0 then begin
+        mark b off q;
+        List.iter visit eps.(q)
+      end
+    in
+    List.iter visit qs
+  in
+  (* Live states read a character or accept; the others only pass ε-moves
+     on, which the closure has already followed, so subsets drop them. *)
+  let live = Array.make words 0 in
+  Array.iteri (fun i qs -> if qs <> [] then mark live 0 (i / k)) on;
+  let finals = Array.make words 0 and universal = Array.make words 0 in
+  List.iter
+    (fun q ->
+      mark live 0 q;
+      mark finals 0 q;
+      if List.for_all (fun c -> List.mem q on.((q * k) + c)) (List.init k Fun.id)
+      then mark universal 0 q)
+    nfa.finals;
+  let rows = Array.make n [||] in
+  let row p =
+    if Array.length rows.(p) = 0 then begin
+      let r = Array.make (k * words) 0 in
+      for c = 0 to k - 1 do
+        close r (c * words) on.((p * k) + c)
+      done;
+      rows.(p) <- Array.mapi (fun j x -> x land live.(j mod words)) r
+    end;
+    rows.(p)
+  in
+  let ids = Subsets.create 64 in
+  let pending = Queue.create () and accepting = ref [] in
+  let next_id = ref 0 in
+  (* The id of the subset [b], made canonical (mutates [b]); [None] when
+     it is new and the budget is spent. *)
+  let intern b =
+    let w = ref 0 in
+    while !w < words && b.(!w) land universal.(!w) = 0 do
+      incr w
+    done;
+    if !w < words then begin
+      let u = (members_of [| b.(!w) land universal.(!w) |]).(0) + (!w * word) in
+      Array.fill b 0 words 0;
+      mark b 0 u
+    end;
+    match Subsets.find_opt ids b with
+    | Some id -> Some id
+    | None when !next_id >= max_states -> None
+    | None ->
+        let id = !next_id in
+        Queue.add (members_of b) pending;
+        accepting := Array.exists2 (fun x f -> x land f <> 0) b finals :: !accepting;
+        Subsets.add ids (Array.copy b) id;
+        incr next_id;
+        Some id
+  in
+  let start = Array.make words 0 in
+  close start 0 [ nfa.start ];
+  Array.iteri (fun w x -> start.(w) <- x land live.(w)) start;
+  let ok = ref (intern start <> None) in
+  let union = Array.make (k * words) 0 and scratch = Array.make words 0 in
+  let delta = ref [] in
+  while !ok && not (Queue.is_empty pending) do
+    Array.fill union 0 (k * words) 0;
+    Array.iter
+      (fun p ->
+        let r = row p in
+        for j = 0 to (k * words) - 1 do
+          union.(j) <- union.(j) lor r.(j)
+        done)
+      (Queue.pop pending);
+    let succ = Array.make k 0 in
+    for c = 0 to k - 1 do
+      if !ok then begin
+        Array.blit union (c * words) scratch 0 words;
+        match intern scratch with Some id -> succ.(c) <- id | None -> ok := false
+      end
+    done;
+    delta := succ :: !delta
+  done;
+  if not !ok then None
+  else
+    Some
+      {
+        sigma;
+        num_states = !next_id;
+        start = 0;
+        finals = Array.of_list (List.rev !accepting);
+        delta = Array.of_list (List.rev !delta);
+      }
+
+let of_nfa sigma nfa =
+  match determinize ~max_states:max_int sigma nfa with
+  | Some d -> d
+  | None -> assert false
 
 let of_regex sigma r = of_nfa sigma (Nfa.of_regex r)
 

@@ -16,8 +16,17 @@ type t = {
           [r]; total. *)
 }
 
+val determinize : max_states:int -> Strdb_util.Alphabet.t -> Nfa.t -> t option
+(** Subset construction restricted to the given alphabet, or [None] when
+    it needs more than [max_states] states.  Subsets are bitsets: a
+    subset's successors are the word-wise union of its members' ε-closed
+    successor rows, each built once.  Subsets leave out states that
+    neither read a character nor accept, and one that contains a
+    universal NFA state (final, with a self-loop on every character) is
+    that state alone, so all such subsets share one accepting sink. *)
+
 val of_nfa : Strdb_util.Alphabet.t -> Nfa.t -> t
-(** Subset construction restricted to the given alphabet. *)
+(** {!determinize} without a budget. *)
 
 val of_regex : Strdb_util.Alphabet.t -> Regex.t -> t
 (** [of_nfa] of the Thompson NFA. *)

@@ -47,38 +47,28 @@ let of_regex r =
 
 module ISet = Set.Make (Int)
 
-let eps_closure_set t set =
-  let eps = Hashtbl.create 16 in
-  List.iter
-    (fun (p, l, q) -> if l = None then Hashtbl.add eps p q)
-    t.edges;
-  let rec go frontier seen =
+(* Subset simulation.  The ε-successors are tabulated once per call. *)
+let accepts t s =
+  let eps = Array.make t.num_states [] in
+  List.iter (fun (p, l, q) -> if l = None then eps.(p) <- q :: eps.(p)) t.edges;
+  let rec close frontier seen =
     match frontier with
     | [] -> seen
-    | s :: rest ->
-        let nexts = Hashtbl.find_all eps s in
-        let fresh = List.filter (fun q -> not (ISet.mem q seen)) nexts in
-        go (fresh @ rest) (List.fold_left (fun acc q -> ISet.add q acc) seen fresh)
+    | p :: rest ->
+        let fresh = List.filter (fun q -> not (ISet.mem q seen)) eps.(p) in
+        close (fresh @ rest) (List.fold_left (fun acc q -> ISet.add q acc) seen fresh)
   in
-  go (ISet.elements set) set
-
-let eps_closure t states =
-  ISet.elements (eps_closure_set t (ISet.of_list states))
-
-let step t states c =
-  let cur = ISet.of_list states in
-  let after =
-    List.fold_left
-      (fun acc (p, l, q) ->
-        if l = Some c && ISet.mem p cur then ISet.add q acc else acc)
-      ISet.empty t.edges
+  let closure set = close (ISet.elements set) set in
+  let step cur c =
+    closure
+      (List.fold_left
+         (fun acc (p, l, q) ->
+           if l = Some c && ISet.mem p cur then ISet.add q acc else acc)
+         ISet.empty t.edges)
   in
-  ISet.elements (eps_closure_set t after)
-
-let accepts t s =
-  let cur = ref (eps_closure t [ t.start ]) in
-  String.iter (fun c -> cur := step t !cur c) s;
-  List.exists (fun q -> List.mem q t.finals) !cur
+  let cur = ref (closure (ISet.singleton t.start)) in
+  String.iter (fun c -> cur := step !cur c) s;
+  List.exists (fun q -> ISet.mem q !cur) t.finals
 
 let reachable t =
   let succs = Hashtbl.create 16 in

@@ -18,12 +18,6 @@ val of_regex : Regex.t -> t
 val accepts : t -> string -> bool
 (** Subset simulation with ε-closure. *)
 
-val eps_closure : t -> int list -> int list
-(** The ε-closure of a set of states (sorted, duplicate-free). *)
-
-val step : t -> int list -> char -> int list
-(** One character step followed by ε-closure (sorted, duplicate-free). *)
-
 val reachable : t -> int list
 (** States reachable from the start (sorted). *)
 

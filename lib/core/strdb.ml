@@ -8,7 +8,9 @@
       modal string layer (Section 2);
     - {!Formula}, {!Database}: the relational layer and query semantics;
     - {!Fsa}, {!Run}, {!Specialize}, {!Generate}: multitape two-way
-      acceptors, the computational counterpart (Section 3);
+      acceptors, the computational counterpart (Section 3); {!Runtime}
+      and {!Oneway}: their acceptance kernels, one of them Theorem 6.1's
+      one-tape DFA;
     - {!Compile} / {!Decompile}: Theorems 3.1 and 3.2;
     - {!Algebra}, {!Translate}, {!Safety}: alignment algebra, the
       calculus↔algebra equivalence (Section 4) and the limitation-based
@@ -44,6 +46,7 @@ module Generate = Strdb_fsa.Generate
 module Limitation = Strdb_fsa.Limitation
 module Crossing = Strdb_fsa.Crossing
 module Factors = Strdb_fsa.Factors
+module Oneway = Strdb_fsa.Oneway
 
 (* Alignment calculus. *)
 module Window = Strdb_calculus.Window

@@ -1,85 +1,4 @@
-module Fsa = Strdb_fsa.Fsa
-module Symbol = Strdb_fsa.Symbol
-module Nfa = Strdb_automata.Nfa
-
-(* States p reachable from q by stationary transitions reading [sym]. *)
-let stationary_closure (a : Fsa.t) sym q =
-  let rec go frontier seen =
-    match frontier with
-    | [] -> seen
-    | p :: rest ->
-        let nexts =
-          List.filter_map
-            (fun (tr : Fsa.transition) ->
-              if
-                Fsa.is_stationary tr
-                && Symbol.equal tr.read.(0) sym
-                && not (List.mem tr.dst seen)
-              then Some tr.dst
-              else None)
-            (Fsa.outgoing a p)
-        in
-        go (nexts @ rest) (nexts @ seen)
-  in
-  go [ q ] [ q ] |> List.sort_uniq compare
-
-(* Does some state in the stationary closure of q on [sym] halt — i.e. is
-   final with no transition applicable on [sym]?  Halting accepts the rest
-   of the input unread. *)
-let halts (a : Fsa.t) sym q =
-  List.exists
-    (fun p ->
-      Fsa.is_final a p
-      && not
-           (List.exists
-              (fun (tr : Fsa.transition) -> Symbol.equal tr.read.(0) sym)
-              (Fsa.outgoing a p)))
-    (stationary_closure a sym q)
-
-(* States reachable from q by: stationary closure on [sym], then one move
-   consuming [sym]. *)
-let consume (a : Fsa.t) sym q =
-  List.concat_map
-    (fun p ->
-      List.filter_map
-        (fun (tr : Fsa.transition) ->
-          if tr.moves.(0) = 1 && Symbol.equal tr.read.(0) sym then Some tr.dst
-          else None)
-        (Fsa.outgoing a p))
-    (stationary_closure a sym q)
-  |> List.sort_uniq compare
-
-let to_nfa (a : Fsa.t) =
-  if a.arity <> 1 then invalid_arg "Regular.to_nfa: expected a 1-FSA";
-  if Fsa.bidirectional_tapes a <> [] then
-    invalid_arg "Regular.to_nfa: expected a unidirectional FSA";
-  let chars = Strdb_util.Alphabet.chars a.sigma in
-  (* NFA states: the FSA's states (head between ⊢ and the unread suffix)
-     plus an absorbing accept sink. *)
-  let sink = a.num_states in
-  let start = a.num_states + 1 in
-  let edges = ref [] in
-  let finals = ref [ sink ] in
-  (* Cross the left endmarker from the true start. *)
-  List.iter (fun q -> edges := (start, None, q) :: !edges) (consume a Symbol.Lend a.start);
-  if halts a Symbol.Lend a.start then edges := (start, None, sink) :: !edges;
-  (* Per-character behaviour of every state. *)
-  for q = 0 to a.num_states - 1 do
-    List.iter
-      (fun c ->
-        List.iter (fun q' -> edges := (q, Some c, q') :: !edges) (consume a (Symbol.Chr c) q);
-        if halts a (Symbol.Chr c) q then edges := (q, Some c, sink) :: !edges;
-        edges := (sink, Some c, sink) :: !edges)
-      chars;
-    (* End of input: halting on ⊣ accepts (⊣ cannot be consumed). *)
-    if halts a Symbol.Rend q then finals := q :: !finals
-  done;
-  {
-    Nfa.num_states = a.num_states + 2;
-    start;
-    finals = List.sort_uniq compare !finals;
-    edges = List.sort_uniq compare !edges;
-  }
+let to_nfa = Strdb_fsa.Oneway.to_nfa
 
 let to_regex a = Strdb_automata.Regex_of_nfa.convert (to_nfa a)
 

@@ -4,17 +4,15 @@
     Forward direction: {!Strdb_calculus.Regex_embed} turns a regex into a
     formula.  Backward direction (this module): a unidirectional 1-FSA —
     what the Theorem 3.1 compiler produces from such a formula — is "a
-    nondeterministic finite automaton with endmarkers"; we convert it to a
-    classical NFA over [Σ] by composing each consuming move with the
-    stationary closure of its source cell and materialising the halting
-    semantics (an FSA accepts as soon as it halts in a final state, even
-    mid-string, so an always-accepting sink absorbs the remaining
-    input). *)
+    nondeterministic finite automaton with endmarkers";
+    {!Strdb_fsa.Oneway.to_nfa} converts it to a classical NFA over [Σ],
+    the same construction the runtime's DFA row-scan kernel
+    determinizes. *)
 
 val to_nfa : Strdb_fsa.Fsa.t -> Strdb_automata.Nfa.t
-(** [to_nfa a] for a unidirectional 1-FSA: a classical NFA with
-    [L(to_nfa a) = L(a)].  @raise Invalid_argument if [a] has more than one
-    tape or a leftward move. *)
+(** {!Strdb_fsa.Oneway.to_nfa}: [L(to_nfa a) = L(a)] for a unidirectional
+    1-FSA.  @raise Invalid_argument if [a] has more than one tape or a
+    leftward move. *)
 
 val to_regex : Strdb_fsa.Fsa.t -> Strdb_automata.Regex.t
 (** State elimination after {!to_nfa}. *)

@@ -76,20 +76,31 @@ let search ~order (a : Fsa.t) ws0 =
 let accepts_naive a ws = search ~order:`Bfs a ws
 let accepts_dfs a ws = search ~order:`Dfs a ws
 
+(* Optimization rides the runtime toggle: with the runtime disabled we
+   are the naive reference baseline and must stay fully untouched. *)
+let optimize a = if Runtime.enabled () then Optimize.optimized a else a
+
+(* [decide a' ws] for [a' = optimize a] and input checked against [a]. *)
+let decide a' ws =
+  match Runtime.try_accepts a' ws with
+  | Some b -> b
+  | None -> accepts_naive a' ws
+
 let accepts a ws =
   check_input a ws;
-  (* Optimization rides the runtime toggle: with the runtime disabled we
-     are the naive reference baseline and must stay fully untouched. *)
-  let a = if Runtime.enabled () then Optimize.optimized a else a in
-  match Runtime.try_accepts a ws with
-  | Some b -> b
-  | None -> accepts_naive a ws
+  decide (optimize a) ws
 
 (* Batch acceptance over one FSA: the σ_A filter shape of the query
-   pipeline.  The per-tuple searches are independent and the runtime's
+   pipeline.  The optimized automaton is looked up once per batch, not
+   per row.  The per-tuple searches are independent and the runtime's
    caches are domain-safe, so the batch spreads over the pool. *)
 let accepts_batch ?(pool = Strdb_util.Pool.sequential) a tuples =
-  Strdb_util.Pool.map_array pool (accepts a) (Array.of_list tuples)
+  let a' = optimize a in
+  Strdb_util.Pool.map_array pool
+    (fun ws ->
+      check_input a ws;
+      decide a' ws)
+    (Array.of_list tuples)
 
 let accepting_trace (a : Fsa.t) ws0 =
   check_input a ws0;

@@ -64,6 +64,12 @@ end
    so dispatch is an exact-match table: state × code ↦ the indices of the
    enabled transitions, replacing the List.filter over Fsa.outgoing. *)
 
+(* The DFA row-scan kernel of a one-tape one-way automaton: the subset
+   construction of its Theorem 6.1 NFA (Oneway.to_nfa), built on first
+   use, and its absorbing states, where a scan can stop. *)
+type dfa = { table : Strdb_automata.Dfa.t; settled : bool array }
+type dfa_slot = Unbuilt | Over_budget | Built of dfa
+
 type t = {
   fsa : Fsa.t;
   base : int;  (* |Σ| + 2 *)
@@ -76,7 +82,9 @@ type t = {
   sparse : (int, int array) Hashtbl.t;
   use_dense : bool;
   oneway : bool;  (* Optimize.shape_of = Unidirectional: no head ever
-                     moves left, so acceptance runs the frontier kernel. *)
+                     moves left, so acceptance runs the frontier kernel —
+                     or, on one tape, the DFA kernel. *)
+  dfa : dfa_slot Atomic.t;
 }
 
 let no_transitions : int array = [||]
@@ -130,6 +138,7 @@ let build (a : Fsa.t) =
       sparse = Hashtbl.create 1;
       use_dense = false;
       oneway = Optimize.shape_of a = Optimize.Unidirectional;
+      dfa = Atomic.make Unbuilt;
     }
   in
   if vec_count = 0 then rt
@@ -446,45 +455,105 @@ let twoway_accepts rt (a : Fsa.t) l codes tdelta =
   done;
   !accepted
 
+(* The DFA kernel (Theorem 6.1 at runtime).  A one-tape one-way
+   automaton is determinized once, through the same NFA the Theorem 6.1
+   round trip uses: stationary closures folded into each consuming move,
+   an accept sink for halting mid-string, finality decided by halting on
+   ⊣.  Each row is then one table lookup per character, stopping early
+   in the dead state or the accept sink.  An automaton with more than
+   [dfa_budget] states, or whose DFA would have more, records Over_budget
+   and stays on the frontier kernel.  The budget bounds the work a
+   failed construction wastes and the memory the index cache holds: a
+   DFA takes at most 1024 × (|Σ| + 4) words, 64 KB over DNA, so the 256
+   cached indices hold at most 16 MB of tables.  The slot is written
+   once by compare-and-set: racing builders converge on the first result
+   and readers never lock. *)
+let dfa_budget = 1024
+
+let make_dfa (a : Fsa.t) =
+  match
+    if a.num_states > dfa_budget then None
+    else
+      Strdb_automata.Dfa.determinize ~max_states:dfa_budget a.sigma
+        (Oneway.to_nfa a)
+  with
+  | None -> Over_budget
+  | Some d ->
+      Built
+        {
+          table = d;
+          settled = Array.mapi (fun q row -> Array.for_all (( = ) q) row) d.delta;
+        }
+
+(* The DFA of [rt]'s automaton when the DFA kernel applies: one tape,
+   one-way, and the frontier kernel's gate (Optimize) open. *)
+let dfa_kernel rt =
+  if not (rt.oneway && rt.fsa.Fsa.arity = 1 && Optimize.enabled ()) then None
+  else
+    let slot =
+      match Atomic.get rt.dfa with
+      | Unbuilt ->
+          let made = make_dfa rt.fsa in
+          if Atomic.compare_and_set rt.dfa Unbuilt made then made
+          else Atomic.get rt.dfa
+      | slot -> slot
+    in
+    match slot with Built d -> Some d | Unbuilt | Over_budget -> None
+
+let dfa_accepts { table = d; settled } w =
+  let q = ref d.start and i = ref 0 in
+  while !i < String.length w && not settled.(!q) do
+    q := d.delta.(!q).(A.rank d.sigma w.[!i]);
+    incr i
+  done;
+  d.finals.(!q)
+
+(* The packed search over int keys: the frontier kernel or the
+   visited-set search, by shape. *)
+let packed_accepts rt (a : Fsa.t) ws0 =
+  let ws = Array.of_list ws0 in
+  let lens = Array.map String.length ws in
+  match layout a lens with
+  | None -> None
+  | Some l ->
+      (* Per-tape symbol ranks at every head position: turns the
+         symbol vector under the heads into plain int lookups. *)
+      let codes =
+        Array.map
+          (fun w ->
+            let n = String.length w in
+            Array.init (n + 2) (fun j ->
+                if j = 0 then rt.lend_rank
+                else if j = n + 1 then rt.rend_rank
+                else A.rank a.sigma w.[j - 1]))
+          ws
+      in
+      (* Applying transition t to a packed key is adding a constant. *)
+      let tdelta =
+        Array.map
+          (fun (tr : Fsa.transition) ->
+            let d = ref (tr.dst - tr.src) in
+            Array.iteri (fun i m -> d := !d + (m * l.steps.(i))) tr.moves;
+            !d)
+          a.transitions
+      in
+      (* Shape dispatch: the frontier kernel for unidirectional
+         FSAs, the visited-set search otherwise.  Checked at
+         dispatch time (not index-build time) so STRDB_OPT=0
+         reverts cached indexes to the two-way engine too. *)
+      if rt.oneway && Optimize.enabled () then
+        Some (oneway_accepts rt a l codes tdelta)
+      else Some (twoway_accepts rt a l codes tdelta)
+
 let try_accepts (a : Fsa.t) ws0 =
   if not (enabled ()) then None
   else
     let rt = index a in
     if not (indexable rt) then None
     else
-      let ws = Array.of_list ws0 in
-      let lens = Array.map String.length ws in
-      match layout a lens with
-      | None -> None
-      | Some l ->
-          (* Per-tape symbol ranks at every head position: turns the
-             symbol vector under the heads into plain int lookups. *)
-          let codes =
-            Array.map
-              (fun w ->
-                let n = String.length w in
-                Array.init (n + 2) (fun j ->
-                    if j = 0 then rt.lend_rank
-                    else if j = n + 1 then rt.rend_rank
-                    else A.rank a.sigma w.[j - 1]))
-              ws
-          in
-          (* Applying transition t to a packed key is adding a constant. *)
-          let tdelta =
-            Array.map
-              (fun (tr : Fsa.transition) ->
-                let d = ref (tr.dst - tr.src) in
-                Array.iteri (fun i m -> d := !d + (m * l.steps.(i))) tr.moves;
-                !d)
-              a.transitions
-          in
-          (* Shape dispatch: the frontier kernel for unidirectional
-             FSAs, the visited-set search otherwise.  Checked at
-             dispatch time (not index-build time) so STRDB_OPT=0
-             reverts cached indexes to the two-way engine too. *)
-          if rt.oneway && Optimize.enabled () then
-            Some (oneway_accepts rt a l codes tdelta)
-          else Some (twoway_accepts rt a l codes tdelta)
+      match (dfa_kernel rt, ws0) with
+      | Some d, [ w ] -> Some (dfa_accepts d w)
+      | _ -> packed_accepts rt a ws0
 
 (* Which acceptance kernel [try_accepts] would run for this automaton —
    for Eval.explain and the CLI. *)
@@ -493,5 +562,9 @@ let kernel_name (a : Fsa.t) =
   else
     let rt = index a in
     if not (indexable rt) then "naive search"
-    else if rt.oneway && Optimize.enabled () then "one-way frontier"
-    else "two-way packed"
+    else
+      match dfa_kernel rt with
+      | Some d -> Printf.sprintf "one-way DFA, %d states" d.table.num_states
+      | None ->
+          if rt.oneway && Optimize.enabled () then "one-way frontier"
+          else "two-way packed"

@@ -1,9 +1,12 @@
 (** The high-performance k-FSA runtime.
 
     Theorem 3.3's acceptance search and the Generate/Eval loops above it
-    are the system's hot paths.  This module packages the three
-    ingredients they share:
+    are the system's hot paths.  This module packages the ingredients
+    they share:
 
+    - {b shape-dispatched acceptance kernels} ({!try_accepts}): a DFA
+      row scan for one-tape one-way automata, a frontier search for
+      other one-way ones, a visited-set search for two-way ones;
     - {b indexed transition dispatch}: per FSA (cached on first use,
       keyed on physical identity), a [state × symbol-vector-code ↦
       transitions] table.  Read vectors are concrete, so the enabled set
@@ -115,19 +118,33 @@ val unpack : layout -> int -> int * int array
 (** {1 Acceptance} *)
 
 val try_accepts : Fsa.t -> string list -> bool option
-(** The packed acceptance search over int keys, dispatched on shape:
-    unidirectional FSAs (no head ever moves left — {!Optimize.shape_of})
-    run a frontier-based one-way kernel, an NFA-style subset simulation
-    by levels of equal head-position sum that needs no visited set and
-    is linear in total input length for a fixed FSA; everything else
-    runs the general two-way search (Theorem 3.3) with a bitmap or
-    int-set visited set.  [None] when the runtime is disabled, the FSA
-    is not indexable, or the input is not packable; the caller then uses
-    the naive search.  Assumes the input was validated ([Run.accepts]
-    does this). *)
+(** Acceptance, dispatched on shape ({!Optimize.shape_of}) to one of
+    three kernels:
+
+    - {b one-way DFA}: a one-tape unidirectional FSA (Theorem 6.1: it
+      defines a regular language) is determinized on first use —
+      {!Oneway.to_nfa}, then {!Strdb_automata.Dfa.determinize} under a
+      budget of 1024 states — and kept in this index behind an
+      [Atomic.t], so racing builders converge and the scan takes no
+      lock.  Each row is one table lookup per character, stopping early
+      in the dead state or the accept sink;
+    - {b one-way frontier}: other unidirectional FSAs (several tapes, or
+      one over the DFA budget) run an NFA-style subset simulation over
+      packed configurations by levels of equal head-position sum, which
+      needs no visited set and is linear in total input length for a
+      fixed FSA;
+    - {b two-way packed}: everything else runs the general two-way
+      search (Theorem 3.3) with a bitmap or int-set visited set.
+
+    The two one-way kernels run only while {!Optimize.enabled} holds.
+    [None] when the runtime is disabled, the FSA is not indexable, or
+    the input is not packable; the caller then uses the naive search.
+    Assumes the input was validated ([Run.accepts] does this). *)
 
 val kernel_name : Fsa.t -> string
-(** Which acceptance kernel {!try_accepts} would run for this automaton
-    ("one-way frontier", "two-way packed", or "naive search" when the
-    runtime is disabled or the FSA is not indexable) — for
-    [Eval.explain] and the CLI. *)
+(** Which acceptance kernel {!try_accepts} would run for this automaton:
+    ["one-way DFA, N states"], ["one-way frontier"], ["two-way packed"],
+    or ["naive search"] when the runtime is disabled or the FSA is not
+    indexable — for [Eval.explain], the server's [EXPLAIN] and the CLI.
+    Naming the DFA builds it, the work the first accepted row would
+    otherwise do. *)

@@ -53,12 +53,19 @@ let shape_tests =
             let eq = Optimize.run (compile2 (Combinators.equal_s "x" "y")) in
             check_string "one-way kernel" "one-way frontier"
               (Runtime.kernel_name eq);
+            let lit =
+              Optimize.run (Compile.compile b ~vars:[ "x" ] (Combinators.literal "x" "ab"))
+            in
+            check_string "one-tape one-way kernel" "one-way DFA, 4 states"
+              (Runtime.kernel_name lit);
             let mf = Optimize.run (compile2 (Combinators.manifold "x" "y")) in
             check_string "two-way kernel" "two-way packed"
               (Runtime.kernel_name mf);
             Optimize.set_enabled false;
             check_string "opt disabled reverts to two-way" "two-way packed"
               (Runtime.kernel_name eq);
+            check_string "opt disabled: one tape too" "two-way packed"
+              (Runtime.kernel_name lit);
             Optimize.set_enabled true;
             Runtime.set_enabled false;
             Fun.protect

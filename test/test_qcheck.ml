@@ -142,6 +142,15 @@ let run_props =
         Run.accepts spec [ v ] = Run.accepts fsa [ u; v ]);
   ]
 
+(* A few strings to decide, ε always among them. *)
+let arb_strings =
+  QCheck.make
+    ~print:(fun ws -> String.concat ", " (List.map (Printf.sprintf "%S") ws))
+    QCheck.Gen.(map (fun ws -> "" :: ws) (list_size (int_bound 6) gen_string))
+
+let agrees_naive fsa ws =
+  List.for_all (fun w -> Run.accepts fsa [ w ] = Run.accepts_naive fsa [ w ]) ws
+
 let runtime_props =
   [
     prop ~count:100 "runtime accepts ≡ naive accepts"
@@ -149,6 +158,31 @@ let runtime_props =
       (fun (phi, (u, v)) ->
         let fsa = Compile.compile b ~vars:[ "x"; "y" ] phi in
         Run.accepts fsa [ u; v ] = Run.accepts_naive fsa [ u; v ]);
+    (* One-tape automata run the DFA kernel when they are one-way; the
+       configuration search shares no code with Dfa, so it is the
+       oracle.  Random formulae, fused products and Lemma 3.1
+       specialisations (stay moves and ⊢/⊣ halts) feed the Theorem 6.1
+       construction different shapes. *)
+    prop ~count:100 "one-tape runtime accepts ≡ naive accepts"
+      (QCheck.pair (arb_sformula ~allow_right:false [ "x" ]) arb_strings)
+      (fun (phi, ws) ->
+        let fsa = Compile.compile b ~vars:[ "x" ] phi in
+        agrees_naive fsa ws);
+    prop ~count:60 "one-tape fused product accepts ≡ naive accepts"
+      (QCheck.triple
+         (arb_sformula ~allow_right:false [ "x" ])
+         (arb_sformula ~allow_right:false [ "x" ])
+         arb_strings)
+      (fun (phi, psi, ws) ->
+        let c f = (Compile.compile b ~vars:[ "x" ] f, [ "x" ]) in
+        match Product.fuse (c phi) (c psi) with
+        | None -> true (* fusion switched off: nothing to compare *)
+        | Some (p, _) -> agrees_naive p ws);
+    prop ~count:60 "specialised one-tape accepts ≡ naive accepts"
+      (QCheck.triple (arb_sformula [ "x"; "y" ]) arb_string arb_strings)
+      (fun (phi, u, ws) ->
+        let fsa = Compile.compile b ~vars:[ "x"; "y" ] phi in
+        agrees_naive (Specialize.specialize fsa [ u ]) ws);
     prop ~count:60 "runtime enumerator ≡ naive enumerator"
       (arb_sformula [ "x"; "y" ])
       (fun phi ->

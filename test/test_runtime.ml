@@ -137,6 +137,59 @@ let acceptance_tests =
         check_bool "rejects unequal" true (not (snd on)));
   ]
 
+(* ------------------------------------------------------------ DFA kernel *)
+
+(* [(a+b)*a(a+b)^k]: the k+1-th letter from the end is an a.  Its DFA
+   needs 2^(k+1) states, so k moves it across the state budget. *)
+let kth_from_end k =
+  Compile.compile b ~vars:[ "x" ]
+    (Regex_embed.matches "x"
+       (Regex.parse ("(a+b)*a" ^ String.concat "" (List.init k (fun _ -> "(a+b)")))))
+
+(* The kernel runs on what Run.accepts runs: the optimized automaton,
+   with the optimizer (the frontier kernel's gate) switched on. *)
+let with_optimizer f =
+  let was = Optimize.enabled () in
+  Optimize.set_enabled true;
+  Fun.protect ~finally:(fun () -> Optimize.set_enabled was) f
+
+let agrees_naive fsa words =
+  List.iter
+    (fun w ->
+      check_bool (Printf.sprintf "%S" w) (Run.accepts_naive fsa [ w ]) (Run.accepts fsa [ w ]))
+    words
+
+let dfa_tests =
+  [
+    tc "one-tape one-way automata run the DFA kernel" (fun () ->
+        with_optimizer (fun () ->
+            let fsa = kth_from_end 3 in
+            check_string "kernel" "one-way DFA, 16 states"
+              (Runtime.kernel_name (Optimize.optimized fsa));
+            agrees_naive fsa (Strutil.all_strings_upto b 7)));
+    tc "past the state budget the frontier kernel keeps the automaton" (fun () ->
+        with_optimizer (fun () ->
+            let fsa = kth_from_end 10 in
+            check_string "kernel" "one-way frontier"
+              (Runtime.kernel_name (Optimize.optimized fsa));
+            let g = Prng.create 61 in
+            agrees_naive fsa ("" :: List.init 300 (fun _ -> Prng.string_upto g b 16))));
+    tc "racing first builds converge on one DFA" (fun () ->
+        with_optimizer (fun () ->
+            let fsa = kth_from_end 4 in
+            Runtime.clear_cache ();
+            let g = Prng.create 67 in
+            let tuples = List.init 400 (fun _ -> [ Prng.string_upto g b 12 ]) in
+            let parallel = Run.accepts_batch ~pool:(Pool.get 4) fsa tuples in
+            check_bool "parallel ≡ naive" true
+              (Array.to_list parallel = List.map (Run.accepts_naive fsa) tuples);
+            check_bool "parallel ≡ sequential" true
+              (parallel = Run.accepts_batch fsa tuples);
+            check_bool "the DFA is kept" true
+              (String.starts_with ~prefix:"one-way DFA"
+                 (Runtime.kernel_name (Optimize.optimized fsa)))));
+  ]
+
 (* ---------------------------------------------------------- compile cache *)
 
 let cache_tests =
@@ -322,6 +375,7 @@ let suites =
     ("runtime.keys", key_tests);
     ("runtime.dispatch", dispatch_tests);
     ("runtime.acceptance", acceptance_tests);
+    ("runtime.dfa", dfa_tests);
     ("runtime.cache", cache_tests);
     ("runtime.generate", generate_tests);
   ]
