@@ -235,11 +235,9 @@ let fnode_key n =
     Array.to_list
       (Array.map (fun t -> (t.fcommitted, t.ffinished, t.fpos)) n.ftapes) )
 
-let accepted_fast ?(local_index = false) (a : Fsa.t) ~max_len =
+(* The enumerator over [a] with its dispatch index [rt]. *)
+let enumerate rt (a : Fsa.t) ~max_len =
   if max_len < 0 then invalid_arg "Generate.accepted: negative bound";
-  (* Per-row specialized automata are one-shot: caching their index would
-     evict the shared working set (identity keys never repeat). *)
-  let rt = if local_index then Runtime.index_uncached a else Runtime.index a in
   let indexable = Runtime.indexable rt in
   let pool = Pool.create () in
   let sigma_chars = Strdb_util.Alphabet.chars a.sigma in
@@ -341,6 +339,8 @@ let accepted_fast ?(local_index = false) (a : Fsa.t) ~max_len =
   done;
   Hashtbl.fold (fun tup () acc -> tup :: acc) results [] |> List.sort compare
 
+let accepted_fast a ~max_len = enumerate (Runtime.index a) a ~max_len
+
 let accepted a ~max_len =
   if Runtime.enabled () then accepted_fast (Optimize.optimized a) ~max_len
   else accepted_naive a ~max_len
@@ -349,12 +349,12 @@ let accepted a ~max_len =
    the automaton's physical identity plus the bound input strings.  A
    query suite re-expands the same bound rows on every run (and a join
    often binds the same tuple repeatedly within one), so the Lemma 3.1
-   product — and the optimize pass that trims it, usually to almost
-   nothing — is paid once per (automaton, inputs) instead of once per
-   row visit.  Same lock-free bounded-list pattern as the other
-   caches; gated on {!Optimize.enabled} with the rest of the
-   optimization layer. *)
-let spec_cache : ((Fsa.t * string list) * Fsa.t) list Atomic.t =
+   product — the optimize pass that trims it, usually to almost
+   nothing, and its private dispatch index — is paid once per
+   (automaton, inputs) instead of once per row visit.  Same lock-free
+   bounded-list pattern as the other caches; gated on
+   {!Optimize.enabled} with the rest of the optimization layer. *)
+let spec_cache : ((Fsa.t * string list) * (Fsa.t * Runtime.t)) list Atomic.t =
   Atomic.make []
 
 let spec_cache_limit = 512
@@ -383,20 +383,23 @@ let specialize_optimized a inputs =
       (fun ((f, ins), _) -> f == a && ins = inputs)
       (Atomic.get spec_cache)
   with
-  | Some (_, spec) -> spec
+  | Some (_, entry) -> entry
   | None ->
       (* Uncached [Optimize.run] on the fresh product: the identity-keyed
          [Optimize.optimized] memo would never hit — but the pass itself
          pays off (Specialize never trims backward-unreachable states,
          and Lemma 3.1 leaves stationary chains to eliminate). *)
-      spec_insert (a, inputs) (Optimize.run (Specialize.specialize a inputs))
+      let spec = Optimize.run (Specialize.specialize a inputs) in
+      spec_insert (a, inputs) (spec, Runtime.index_uncached spec)
 
 let outputs a ~inputs ~max_len =
   if Runtime.enabled () then
-    let spec =
+    let spec, rt =
       if Optimize.enabled () then specialize_optimized a inputs
-      else Specialize.specialize a inputs
+      else
+        let spec = Specialize.specialize a inputs in
+        (spec, Runtime.index_uncached spec)
     in
-    accepted_fast ~local_index:true spec ~max_len
+    enumerate rt spec ~max_len
   else accepted_naive (Specialize.specialize a inputs) ~max_len
 let is_empty_upto a ~max_len = accepted a ~max_len = []

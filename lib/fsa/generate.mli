@@ -24,13 +24,9 @@ val accepted_naive : Fsa.t -> max_len:int -> string list list
 (** The original enumerator (string-valued prefixes, [List.filter]
     dispatch); the reference the qcheck suite checks {!accepted} against. *)
 
-val accepted_fast : ?local_index:bool -> Fsa.t -> max_len:int -> string list list
+val accepted_fast : Fsa.t -> max_len:int -> string list list
 (** The runtime-backed enumerator, regardless of the toggle (for direct
-    cross-checking in tests and benches).  [~local_index:true] builds the
-    dispatch index privately instead of through the bounded global cache
-    — the right choice for one-shot automata such as per-row
-    specialisations, whose identity-keyed entries would only evict the
-    shared working set.  Default [false]. *)
+    cross-checking in tests and benches). *)
 
 val outputs : Fsa.t -> inputs:string list -> max_len:int -> string list list
 (** [outputs a ~inputs ~max_len] fixes the first tapes to [inputs]
@@ -39,9 +35,9 @@ val outputs : Fsa.t -> inputs:string list -> max_len:int -> string list list
 
     While {!Optimize.enabled}, the specialized product is run through
     [Optimize.run] (trimming usually collapses it drastically) and the
-    result is memoized on [(a, inputs)] — bounded and domain-safe — so
-    repeated expansions of the same bound row amortize the Lemma 3.1
-    construction. *)
+    result is memoized with its private dispatch index on [(a, inputs)]
+    — bounded and domain-safe — so repeated expansions of the same
+    bound row amortize the Lemma 3.1 construction and the index. *)
 
 val clear_spec_cache : unit -> unit
 (** Drop memoized optimized specializations (benchmark hygiene). *)

@@ -70,6 +70,18 @@ end
 type dfa = { table : Strdb_automata.Dfa.t; settled : bool array }
 type dfa_slot = Unbuilt | Over_budget | Built of dfa
 
+(* The frontier kernel's successor table, built on first use: the
+   enabled transitions of each (state, symbol code), laid out like the
+   dispatch table, as packed ints [(dst lsl id_bits) lor id] where [id]
+   names the transition's move vector.  A one-way move vector is the set
+   of tapes it advances, [masks.(id)] as a bitmask; id 0 advances none. *)
+type frontier = {
+  succ : int array array;
+  succ_sparse : (int, int array) Hashtbl.t;
+  masks : int array;
+  id_bits : int;
+}
+
 type t = {
   fsa : Fsa.t;
   base : int;  (* |Σ| + 2 *)
@@ -85,6 +97,7 @@ type t = {
                      moves left, so acceptance runs the frontier kernel —
                      or, on one tape, the DFA kernel. *)
   dfa : dfa_slot Atomic.t;
+  frontier : frontier option Atomic.t;
 }
 
 let no_transitions : int array = [||]
@@ -139,6 +152,7 @@ let build (a : Fsa.t) =
       use_dense = false;
       oneway = Optimize.shape_of a = Optimize.Unidirectional;
       dfa = Atomic.make Unbuilt;
+      frontier = Atomic.make None;
     }
   in
   if vec_count = 0 then rt
@@ -193,8 +207,8 @@ let outgoing rt q = rt.outgoing.(q)
 let cache : (Fsa.t * t) list Atomic.t = Atomic.make []
 
 (* The bound defaults to the compile memo's size (the index working set
-   is at most one index per live compiled FSA now that one-shot
-   specialised automata build local, uncached indices) and is
+   is at most one index per live compiled FSA now that specialised
+   automata keep private, uncached indices in Generate's memo) and is
    configurable through STRDB_INDEX_CACHE for unusual workloads. *)
 let default_cache_limit = 256
 
@@ -272,9 +286,10 @@ let index (a : Fsa.t) =
           insert_built a (build a))
 
 (* A private index: built fresh, never inserted into (or counted
-   against) the shared cache.  For one-shot automata — per-row Lemma 3.1
-   specialisations in Generate.outputs — whose physical identity never
-   recurs; caching those only evicts the indices that do. *)
+   against) the shared cache.  For automata whose physical identity
+   never recurs outside their owner — Generate.outputs keeps one with
+   each memoized Lemma 3.1 specialisation; caching those only evicts
+   the indices that do recur. *)
 let index_uncached (a : Fsa.t) = build a
 
 let clear_cache () = Atomic.set cache []
@@ -325,78 +340,259 @@ let unpack l key =
   (state, pos)
 
 (* ------------------------------------------------------------------ *)
+(* The frontier kernel for unidirectional FSAs (every move ∈ {0,1}ᵏ).
+
+   Head-position sums only grow, so configurations are processed by
+   levels of equal position sum, and the configurations that share a
+   head-position cell together: a cell holds the set of states reached
+   there, a bitset of ⌈|Q|/63⌉ words.  A level is a dense slice over the
+   positions of every tape but the longest, whose position the level's
+   sum implies.  A move adds 0..k to the sum, so only k+1 levels are
+   live, kept in a ring, and a per-level touched list visits only the
+   occupied cells.  Stationary moves stay in their cell and are closed
+   worklist-style before the cell is cleared. *)
+
+(* The per-row scratch bound, in words (8 MB).  The ring's bitsets and
+   touched lists take (k+1)·cells·(⌈|Q|/63⌉+1) of them, where cells =
+   Π(nᵢ+2) over every tape but the longest; the rest is O(|Q| + Σnᵢ).
+   Over it the kernel declines and the row runs the packed search. *)
+let frontier_budget = 1 lsl 20
+
+let make_frontier rt =
+  let a = rt.fsa in
+  let ids = Hashtbl.create 8 in
+  Hashtbl.replace ids 0 0;
+  let move_id (tr : Fsa.transition) =
+    let mask = ref 0 in
+    Array.iteri (fun i m -> if m <> 0 then mask := !mask lor (1 lsl i)) tr.moves;
+    match Hashtbl.find_opt ids !mask with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.replace ids !mask id;
+        id
+  in
+  let move_ids = Array.map move_id a.transitions in
+  let masks = Array.make (Hashtbl.length ids) 0 in
+  Hashtbl.iter (fun mask id -> masks.(id) <- mask) ids;
+  let id_bits = ref 0 in
+  while 1 lsl !id_bits < Array.length masks do
+    incr id_bits
+  done;
+  let id_bits = !id_bits in
+  let pack idxs =
+    Array.map (fun t -> (a.transitions.(t).dst lsl id_bits) lor move_ids.(t)) idxs
+  in
+  let succ_sparse = Hashtbl.create (Hashtbl.length rt.sparse) in
+  Hashtbl.iter (fun key idxs -> Hashtbl.replace succ_sparse key (pack idxs)) rt.sparse;
+  { succ = Array.map pack rt.dense; succ_sparse; masks; id_bits }
+
+(* Built lazily, because Generate builds a private index for each
+   specialisation it memoizes and never runs this kernel on it; the slot
+   is filled like the DFA slot. *)
+let frontier_table rt =
+  match Atomic.get rt.frontier with
+  | Some f -> f
+  | None ->
+      let f = make_frontier rt in
+      if Atomic.compare_and_set rt.frontier None (Some f) then f
+      else Option.get (Atomic.get rt.frontier)
+
+(* The index of the bit set in [b]: 2 has order 66 modulo the prime 67,
+   so 2ⁱ mod 67 differs for every bit i < 62; bit 62 is the sign bit. *)
+let bit_table =
+  let t = Array.make 67 0 in
+  for i = 0 to 61 do
+    t.((1 lsl i) mod 67) <- i
+  done;
+  t
+
+let bit_index b = if b < 0 then 62 else Array.unsafe_get bit_table (b mod 67)
+
+let rec cell_empty sc o n = n = 0 || (sc.(o) = 0 && cell_empty sc (o + 1) (n - 1))
+
+let frontier_accepts rt (ws : string array) =
+  let a = rt.fsa in
+  let k = a.arity in
+  let words = (a.num_states + 62) / 63 in
+  let long = ref (-1) in
+  for i = 0 to k - 1 do
+    if !long < 0 || String.length ws.(i) > String.length ws.(!long) then long := i
+  done;
+  let long = !long in
+  let levels = k + 1 in
+  (* A slice cell is the mixed-radix number of the other tapes' positions. *)
+  let cells = ref 1 and fits = ref true and chars = ref 0 in
+  for i = 0 to k - 1 do
+    let d = String.length ws.(i) + 2 in
+    chars := !chars + d;
+    if i <> long then
+      if !cells > frontier_budget / d then fits := false else cells := !cells * d
+  done;
+  let cells = !cells in
+  let f = frontier_table rt in
+  let nm = Array.length f.masks in
+  (* One scratch array: the ring's bitsets, its touched lists and their
+     counts, the worklist, where each move id sends a cell from each
+     slot, each tape's code contribution at every head position, and
+     each other tape's radix and code offset. *)
+  let o_touched = levels * cells * words in
+  let o_count = o_touched + (levels * cells) in
+  let o_stack = o_count + levels in
+  let o_move = o_stack + a.num_states in
+  let o_codes = o_move + (2 * levels * nm) in
+  let o_others = o_codes + !chars in
+  let total = o_others + (2 * k) in
+  if (not !fits) || total > frontier_budget then None
+  else begin
+    let sc = Array.make total 0 in
+    let o_long = ref 0 and no = ref 0 and off = ref o_codes and stride = ref 1 in
+    let strides = Array.make k 0 in
+    for i = 0 to k - 1 do
+      let w = ws.(i) in
+      let n = String.length w and wt = rt.weights.(i) in
+      sc.(!off) <- rt.lend_rank * wt;
+      for p = 1 to n do
+        sc.(!off + p) <- A.rank a.sigma (String.unsafe_get w (p - 1)) * wt
+      done;
+      sc.(!off + n + 1) <- rt.rend_rank * wt;
+      if i = long then o_long := !off
+      else begin
+        sc.(o_others + (2 * !no)) <- n + 2;
+        sc.(o_others + (2 * !no) + 1) <- !off;
+        incr no;
+        strides.(i) <- !stride;
+        stride := !stride * (n + 2)
+      end;
+      off := !off + n + 2
+    done;
+    let no = !no and o_long = !o_long in
+    (* Move id m sends a cell of ring slot r [shift] cells further, into
+       slot [r']. *)
+    Array.iteri
+      (fun m mask ->
+        let inc = ref 0 and delta = ref 0 in
+        for i = 0 to k - 1 do
+          if mask land (1 lsl i) <> 0 then begin
+            incr inc;
+            delta := !delta + strides.(i)
+          end
+        done;
+        for r = 0 to levels - 1 do
+          let r' = (r + !inc) mod levels in
+          let o = o_move + (2 * ((r * nm) + m)) in
+          sc.(o) <- ((r' - r) * cells) + !delta;
+          sc.(o + 1) <- r'
+        done)
+      f.masks;
+    let id_mask = (1 lsl f.id_bits) - 1 in
+    (* The start configuration: every head on ⊢, level 0, cell 0. *)
+    sc.(a.start / 63) <- 1 lsl (a.start mod 63);
+    sc.(o_count) <- 1;
+    let pending = ref 1 in
+    let accepted = ref false in
+    let s = ref 0 and r = ref 0 in
+    while (not !accepted) && !pending > 0 do
+      let r0 = !r in
+      let n = sc.(o_count + r0) in
+      let i = ref 0 in
+      while (not !accepted) && !i < n do
+        let fc = sc.(o_touched + (r0 * cells) + !i) in
+        incr i;
+        (* Decode the heads and the symbol code under them. *)
+        let rest = ref (fc - (r0 * cells)) and sum = ref 0 and code = ref 0 in
+        for j = 0 to no - 1 do
+          let o = o_others + (2 * j) in
+          let p =
+            if j = no - 1 then !rest
+            else begin
+              let d = sc.(o) in
+              let p = !rest mod d in
+              rest := !rest / d;
+              p
+            end
+          in
+          sum := !sum + p;
+          code := !code + sc.(sc.(o + 1) + p)
+        done;
+        if long >= 0 then code := !code + sc.(o_long + !s - !sum);
+        let code = !code in
+        let base = fc * words in
+        let top = ref o_stack in
+        for j = 0 to words - 1 do
+          let w = ref sc.(base + j) in
+          while !w <> 0 do
+            let b = !w land - !w in
+            sc.(!top) <- (j * 63) + bit_index b;
+            incr top;
+            w := !w lxor b
+          done
+        done;
+        while (not !accepted) && !top > o_stack do
+          decr top;
+          let q = sc.(!top) in
+          let key = (q * rt.vec_count) + code in
+          let succ =
+            if rt.use_dense then f.succ.(key)
+            else
+              Option.value ~default:no_transitions
+                (Hashtbl.find_opt f.succ_sparse key)
+          in
+          if Array.length succ = 0 then begin
+            if a.finals.(q) then accepted := true
+          end
+          else
+            for e = 0 to Array.length succ - 1 do
+              let x = succ.(e) in
+              let dst = x lsr f.id_bits and m = x land id_mask in
+              let b = 1 lsl (dst mod 63) in
+              if m = 0 then begin
+                let o = base + (dst / 63) in
+                let old = sc.(o) in
+                if old land b = 0 then begin
+                  sc.(o) <- old lor b;
+                  sc.(!top) <- dst;
+                  incr top
+                end
+              end
+              else begin
+                let om = o_move + (2 * ((r0 * nm) + m)) in
+                let tfc = fc + sc.(om) in
+                let tbase = tfc * words in
+                let o = tbase + (dst / 63) in
+                let old = sc.(o) in
+                if old land b = 0 then begin
+                  if cell_empty sc tbase words then begin
+                    let r' = sc.(om + 1) in
+                    let c = o_count + r' in
+                    sc.(o_touched + (r' * cells) + sc.(c)) <- tfc;
+                    sc.(c) <- sc.(c) + 1;
+                    incr pending
+                  end;
+                  sc.(o) <- old lor b
+                end
+              end
+            done
+        done;
+        for j = base to base + words - 1 do
+          sc.(j) <- 0
+        done
+      done;
+      pending := !pending - n;
+      sc.(o_count + r0) <- 0;
+      incr s;
+      r := if r0 + 1 = levels then 0 else r0 + 1
+    done;
+    Some !accepted
+  end
+
+(* ------------------------------------------------------------------ *)
 (* The packed acceptance search (Theorem 3.3 over int keys).  Visited is
    a flat bitmap when the key space fits the budget, the open-addressing
    int set otherwise.  Returns None when the input is not packable or
    the FSA not indexable; Run.accepts then keeps the naive search. *)
 
 let bitmap_budget = 1 lsl 24 (* bits: a 2 MB bitmap at most *)
-
-(* The frontier kernel for unidirectional FSAs (every move ∈ {0, +1}).
-   Head-position sums only ever grow, so configurations are processed in
-   levels of equal position-sum — an NFA-style subset simulation over
-   the level frontier.  A key's level is determined by the key (the sum
-   of its positions), so no global visited set is needed: a small
-   per-level set deduplicates the frontier, and a drained level is
-   dropped.  Stationary transitions stay inside the current level and
-   are chased worklist-style (the bucket grows while being scanned). *)
-let oneway_accepts rt (a : Fsa.t) l codes tdelta =
-  let tsum =
-    Array.map
-      (fun (tr : Fsa.transition) -> Array.fold_left ( + ) 0 tr.moves)
-      a.transitions
-  in
-  let max_sum = Array.fold_left (fun acc d -> acc + d - 1) 0 l.dims in
-  let buckets = Array.make (max_sum + 1) [||] in
-  let lens = Array.make (max_sum + 1) 0 in
-  let push s v =
-    let arr = buckets.(s) in
-    let n = lens.(s) in
-    let arr =
-      if n = Array.length arr then begin
-        let bigger = Array.make (max 8 (2 * n)) 0 in
-        Array.blit arr 0 bigger 0 n;
-        buckets.(s) <- bigger;
-        bigger
-      end
-      else arr
-    in
-    arr.(n) <- v;
-    lens.(s) <- n + 1
-  in
-  (* The initial configuration (start, 0, …, 0) packs to the state id. *)
-  push 0 a.start;
-  let pos = Array.make a.arity 0 in
-  let accepted = ref false in
-  let s = ref 0 in
-  while (not !accepted) && !s <= max_sum do
-    if lens.(!s) > 0 then begin
-      let seen = Int_set.create ~size:64 () in
-      let i = ref 0 in
-      while (not !accepted) && !i < lens.(!s) do
-        let key = buckets.(!s).(!i) in
-        incr i;
-        if Int_set.add seen key then begin
-          let state = unpack_into l key pos in
-          let code = ref 0 in
-          Array.iteri
-            (fun t p -> code := !code + (codes.(t).(p) * rt.weights.(t)))
-            pos;
-          let trs = transitions_for rt ~state ~code:!code in
-          if Array.length trs = 0 then begin
-            if a.finals.(state) then accepted := true
-          end
-          else
-            Array.iter
-              (fun t -> push (!s + tsum.(t)) (key + tdelta.(t)))
-              trs
-        end
-      done;
-      buckets.(!s) <- [||]
-    end;
-    incr s
-  done;
-  !accepted
 
 (* The general two-way search: depth-first over packed keys with a
    visited set (flat bitmap when the key space fits the budget, the
@@ -485,10 +681,15 @@ let make_dfa (a : Fsa.t) =
           settled = Array.mapi (fun q row -> Array.for_all (( = ) q) row) d.delta;
         }
 
-(* The DFA of [rt]'s automaton when the DFA kernel applies: one tape,
-   one-way, and the frontier kernel's gate (Optimize) open. *)
+(* Do the one-way kernels run for [rt]'s automaton?  Checked at dispatch
+   time, not index-build time, so STRDB_OPT=0 reverts cached indexes to
+   the two-way engine too. *)
+let oneway_kernel rt = rt.oneway && Optimize.enabled ()
+
+(* The DFA of [rt]'s automaton when the DFA kernel applies: one tape and
+   the one-way kernels' gate open. *)
 let dfa_kernel rt =
-  if not (rt.oneway && rt.fsa.Fsa.arity = 1 && Optimize.enabled ()) then None
+  if not (oneway_kernel rt && rt.fsa.Fsa.arity = 1) then None
   else
     let slot =
       match Atomic.get rt.dfa with
@@ -508,8 +709,8 @@ let dfa_accepts { table = d; settled } w =
   done;
   d.finals.(!q)
 
-(* The packed search over int keys: the frontier kernel or the
-   visited-set search, by shape. *)
+(* The packed search over int keys for two-way FSAs and for one-way
+   rows over the frontier budget: None when the input is not packable. *)
 let packed_accepts rt (a : Fsa.t) ws0 =
   let ws = Array.of_list ws0 in
   let lens = Array.map String.length ws in
@@ -537,23 +738,23 @@ let packed_accepts rt (a : Fsa.t) ws0 =
             !d)
           a.transitions
       in
-      (* Shape dispatch: the frontier kernel for unidirectional
-         FSAs, the visited-set search otherwise.  Checked at
-         dispatch time (not index-build time) so STRDB_OPT=0
-         reverts cached indexes to the two-way engine too. *)
-      if rt.oneway && Optimize.enabled () then
-        Some (oneway_accepts rt a l codes tdelta)
-      else Some (twoway_accepts rt a l codes tdelta)
+      Some (twoway_accepts rt a l codes tdelta)
 
 let try_accepts (a : Fsa.t) ws0 =
   if not (enabled ()) then None
   else
     let rt = index a in
     if not (indexable rt) then None
-    else
+    else if oneway_kernel rt then
       match (dfa_kernel rt, ws0) with
       | Some d, [ w ] -> Some (dfa_accepts d w)
-      | _ -> packed_accepts rt a ws0
+      | _ -> (
+          (* A row over the frontier budget runs the packed search,
+             whose cost follows the configurations it reaches. *)
+          match frontier_accepts rt (Array.of_list ws0) with
+          | None -> packed_accepts rt a ws0
+          | decided -> decided)
+    else packed_accepts rt a ws0
 
 (* Which acceptance kernel [try_accepts] would run for this automaton —
    for Eval.explain and the CLI. *)
@@ -565,6 +766,4 @@ let kernel_name (a : Fsa.t) =
     else
       match dfa_kernel rt with
       | Some d -> Printf.sprintf "one-way DFA, %d states" d.table.num_states
-      | None ->
-          if rt.oneway && Optimize.enabled () then "one-way frontier"
-          else "two-way packed"
+      | None -> if oneway_kernel rt then "one-way frontier" else "two-way packed"

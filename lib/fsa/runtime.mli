@@ -5,18 +5,20 @@
     they share:
 
     - {b shape-dispatched acceptance kernels} ({!try_accepts}): a DFA
-      row scan for one-tape one-way automata, a frontier search for
-      other one-way ones, a visited-set search for two-way ones;
+      row scan for one-tape one-way automata, a state-set frontier
+      search for other one-way ones, a visited-set search for two-way
+      ones;
     - {b indexed transition dispatch}: per FSA (cached on first use,
       keyed on physical identity), a [state × symbol-vector-code ↦
       transitions] table.  Read vectors are concrete, so the enabled set
       is an exact-match lookup instead of a [List.filter] over
       [Fsa.outgoing];
-    - {b packed configuration keys}: a configuration [(q, p₁..p_k)] on
-      inputs of lengths [n₁..n_k] packs into one int whenever
-      [states·Π(nᵢ+2)] fits in an OCaml int, giving an allocation-free
-      search with a flat bitmap (small key spaces) or a monomorphic
-      open-addressing int set (large ones) as the visited set;
+    - {b packed configuration keys} for the two-way search: a
+      configuration [(q, p₁..p_k)] on inputs of lengths [n₁..n_k] packs
+      into one int whenever [states·Π(nᵢ+2)] fits in an OCaml int,
+      giving an allocation-free search with a flat bitmap (small key
+      spaces) or a monomorphic open-addressing int set (large ones) as
+      the visited set;
     - a {b global toggle} consulted by [Run], [Generate] and
       [Compile]: with the runtime disabled they fall back to the naive
       reference implementations, which is how the benches measure
@@ -45,8 +47,9 @@ val index : Fsa.t -> t
 
 val index_uncached : Fsa.t -> t
 (** Build a dispatch index without consulting or populating the cache.
-    For one-shot automata (per-row specialisations in [Generate]) that
-    would otherwise thrash the bounded cache with always-miss
+    For automata whose identity never recurs outside their owner (the
+    per-row specialisations [Generate] memoizes, each with its index)
+    and that would otherwise thrash the bounded cache with always-miss
     insertions. *)
 
 val clear_cache : unit -> unit
@@ -128,18 +131,32 @@ val try_accepts : Fsa.t -> string list -> bool option
       [Atomic.t], so racing builders converge and the scan takes no
       lock.  Each row is one table lookup per character, stopping early
       in the dead state or the accept sink;
-    - {b one-way frontier}: other unidirectional FSAs (several tapes, or
-      one over the DFA budget) run an NFA-style subset simulation over
-      packed configurations by levels of equal head-position sum, which
-      needs no visited set and is linear in total input length for a
-      fixed FSA;
+    - {b one-way frontier}: other unidirectional FSAs (several tapes,
+      one tape over the DFA budget, or none — Lemma 3.1 acceptance
+      graphs) run a subset simulation by levels of equal head-position
+      sum.  Each occupied head-position cell holds the set of states
+      reached there as a bitset of [⌈|Q|/63⌉] words, closed under
+      stationary moves.  A level is a dense slice over the positions of
+      every tape but the longest, whose position the level implies;
+      moves are in [{0,1}ᵏ], so only [k+1] levels are live, and a
+      touched list per level visits only the occupied cells.
+      Transitions come from a per-automaton successor table —
+      (destination, move vector) per state and symbol code — built on
+      first use and kept in this index behind an [Atomic.t] like the
+      DFA.  Per-row scratch is one array of [(k+1)·cells·(⌈|Q|/63⌉+1)]
+      words plus [O(|Q| + Σnᵢ)], [cells = Π(nᵢ+2)] over every tape but
+      the longest; over 2²⁰ words (8 MB) the kernel declines and the
+      row runs the two-way packed search, whose cost follows the
+      configurations it reaches.  There is no visited set: each
+      occupied cell is processed once;
     - {b two-way packed}: everything else runs the general two-way
       search (Theorem 3.3) with a bitmap or int-set visited set.
 
     The two one-way kernels run only while {!Optimize.enabled} holds.
     [None] when the runtime is disabled, the FSA is not indexable, or
-    the input is not packable; the caller then uses the naive search.
-    Assumes the input was validated ([Run.accepts] does this). *)
+    the input is not packable (and, if one-way, over the frontier
+    budget); the caller then uses the naive search.  Assumes the input
+    was validated ([Run.accepts] does this). *)
 
 val kernel_name : Fsa.t -> string
 (** Which acceptance kernel {!try_accepts} would run for this automaton:

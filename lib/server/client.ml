@@ -18,15 +18,24 @@ let starts_with prefix s =
   && String.sub s 0 (String.length prefix) = prefix
 
 let request t line =
-  match
-    output_string t.oc line;
-    output_char t.oc '\n';
-    flush t.oc;
-    input_line t.ic
-  with
-  | exception End_of_file -> Error "connection closed"
-  | exception Sys_error m -> Error m
+  let unsent =
+    match
+      output_string t.oc line;
+      output_char t.oc '\n';
+      flush t.oc
+    with
+    | () -> None
+    | exception Sys_error m -> Some m
+  in
+  (* A server that cannot admit the connection writes BUSY and closes
+     it, possibly before this request is written: the write then fails,
+     but the BUSY line is still there to read. *)
+  let failed m = Error (Option.value unsent ~default:m) in
+  match input_line t.ic with
+  | exception End_of_file -> failed "connection closed"
+  | exception Sys_error m -> failed m
   | "BUSY" -> Error "server busy"
+  | _ when Option.is_some unsent -> failed ""
   | resp when starts_with "ERR " resp ->
       Error (String.sub resp 4 (String.length resp - 4))
   | resp when starts_with "OK " resp -> (

@@ -252,6 +252,58 @@ let reject_busy srv fd =
    with _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* How long a connection that finds every worker taken may wait for a
+   session that is ending to hand its worker back. *)
+let admit_grace = 0.5
+
+(* True when some registered session other than [except]'s is about to
+   return its worker: its descriptor reads ready (the client hung up, or
+   sent a line the session has not picked up yet), or it has already
+   unregistered while its slot is still held.  Sessions register before
+   they are submitted and unregister before their task returns, so the
+   second case shows as more held slots than registered sessions. *)
+let winding_down srv ~except =
+  let others =
+    Mutex.protect srv.active_mu (fun () ->
+        Hashtbl.fold
+          (fun fd () acc -> if fd = except then acc else fd :: acc)
+          srv.active [])
+  in
+  List.length others < Pool.Service.load srv.service
+  ||
+  match Unix.select others [] [] 0.0 with
+  | ready, _, _ -> ready <> []
+  | exception Unix.Unix_error (Unix.EBADF, _, _) ->
+      true (* a session closed its descriptor after we listed it *)
+  | exception Unix.Unix_error _ -> false
+
+(* Submit [fd]'s session.  When every slot is held and some session
+   waits in the queue, the service is saturated and this fails at once.
+   With none queued (a zero backlog) every held slot is a worker, and
+   a client that has just hung up (the usual close-then-reconnect)
+   still holds one until its session sees the EOF, so the new
+   connection waits up to [admit_grace] for a worker that is winding
+   down rather than getting a spurious BUSY. *)
+let admit srv fd =
+  let svc = srv.service in
+  let task () = session srv fd in
+  let deadline = Unix.gettimeofday () +. admit_grace in
+  (* The last try follows the check that no session is winding down,
+     so a worker handed back in between is still taken. *)
+  let rec wait () =
+    if
+      (not (Atomic.get srv.stop))
+      && Unix.gettimeofday () < deadline
+      && winding_down srv ~except:fd
+    then begin
+      Unix.sleepf 0.0005;
+      Pool.Service.submit svc task || wait ()
+    end
+    else Pool.Service.submit svc task
+  in
+  Pool.Service.submit svc task
+  || (Pool.Service.load svc <= Pool.Service.workers svc && wait ())
+
 (* Poll with a short timeout instead of blocking in [accept]: the stop
    flag (set by [stop] from another domain, or by the SIGINT handler in
    blocking mode) is honoured within a quarter second without any
@@ -267,8 +319,7 @@ let accept_loop srv =
         | fd, _ ->
             Atomic.incr srv.counters.accepted;
             register srv fd;
-            if not (Pool.Service.submit srv.service (fun () -> session srv fd))
-            then begin
+            if not (admit srv fd) then begin
               unregister srv fd;
               reject_busy srv fd
             end)

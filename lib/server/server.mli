@@ -26,8 +26,13 @@
     Replies: [OK <n>] followed by [n] payload lines (tab-separated row
     components for [QUERY]), or [ERR <message>].  A connection the
     bounded service cannot admit receives a single [BUSY] line and is
-    closed immediately — overload is visible to the client at connect
-    time, not as an ever-growing queue. *)
+    closed — overload is visible to the client at connect time, not as
+    an ever-growing queue.  The reject is immediate while a session
+    waits in the queue.  With none queued (a zero [backlog]), a
+    connection that finds every worker taken while some session is
+    winding down (its client hung up, or it has ended but its worker is
+    not back yet) waits up to half a second for that worker, so a
+    client that closes and reconnects is served. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path; unlinked on shutdown. *)

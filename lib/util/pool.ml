@@ -272,25 +272,28 @@ let get n =
    backlog of parked connections. *)
 
 module Service = struct
+  (* Admission reserves a slot that its task holds until it returns:
+     [admitted] counts queued plus running tasks, and
+     [admitted <= workers + bound] before and after every [submit] and
+     every task completion.  Counting reservations rather than parked
+     workers means a worker that has been signalled but not yet woken
+     is already taken (two quick submissions cannot both claim it), and
+     a submission right after [create] does not race worker start-up. *)
   type t = {
     mu : Mutex.t;
     nonempty : Condition.t;
-    ready : Condition.t;  (* create parks here until every worker is idle *)
     queue : (unit -> unit) Queue.t;
     bound : int;
-    mutable idle : int;
+    mutable admitted : int;
     mutable stopped : bool;
     mutable workers : unit Domain.t array;
   }
 
   let rec worker_loop t =
     Mutex.lock t.mu;
-    t.idle <- t.idle + 1;
-    Condition.signal t.ready;
     while Queue.is_empty t.queue && not t.stopped do
       Condition.wait t.nonempty t.mu
     done;
-    t.idle <- t.idle - 1;
     if Queue.is_empty t.queue then
       (* stopped with the queue drained: die. *)
       Mutex.unlock t.mu
@@ -301,6 +304,7 @@ module Service = struct
          worker (the server traps per-session errors itself; this is
          the last line of defense). *)
       (try task () with _ -> ());
+      Mutex.protect t.mu (fun () -> t.admitted <- t.admitted - 1);
       worker_loop t
     end
 
@@ -310,34 +314,27 @@ module Service = struct
       {
         mu = Mutex.create ();
         nonempty = Condition.create ();
-        ready = Condition.create ();
         queue = Queue.create ();
         bound = max 0 queue;
-        idle = 0;
+        admitted = 0;
         stopped = false;
         workers = [||];
       }
     in
     t.workers <-
       Array.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
-    (* Wait for every worker to park: a zero-bound service must admit a
-       submission issued right after [create] (the first accept must not
-       race worker startup into a spurious reject). *)
-    Mutex.lock t.mu;
-    while t.idle < Array.length t.workers && not t.stopped do
-      Condition.wait t.ready t.mu
-    done;
-    Mutex.unlock t.mu;
     t
 
   let workers t = Array.length t.workers
+  let load t = Mutex.protect t.mu (fun () -> t.admitted)
 
   let submit t task =
     Mutex.lock t.mu;
     let accepted =
-      (not t.stopped) && (t.idle > 0 || Queue.length t.queue < t.bound)
+      (not t.stopped) && t.admitted < Array.length t.workers + t.bound
     in
     if accepted then begin
+      t.admitted <- t.admitted + 1;
       Queue.push task t.queue;
       Condition.signal t.nonempty
     end;

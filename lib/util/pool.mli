@@ -93,17 +93,21 @@ module Service : sig
   val create : ?workers:int -> queue:int -> unit -> t
   (** [create ~workers ~queue ()] spawns [workers] (default 2, clamped
       to [1 ≤ w ≤ 128]) domains and admits at most [queue ≥ 0] tasks
-      beyond the ones the workers are running.  Returns once every
-      worker has parked idle, so a submission issued immediately after
-      is admitted rather than racing worker startup. *)
+      beyond one per worker. *)
 
   val workers : t -> int
 
   val submit : t -> (unit -> unit) -> bool
-  (** Enqueue a task: [true] when a worker is idle or the queue has
-      room, [false] (without side effects) when saturated or shut down.
+  (** Admit a task: [true] when fewer than [workers + queue] admitted
+      tasks have not yet returned, [false] (without side effects) when
+      saturated or shut down.  An admitted task holds its slot from
+      this call until it returns, so admission never counts a worker
+      that has been handed a task but has not woken yet as free.
       Tasks run at most once, in submission order; a task's exceptions
       are swallowed (trap them yourself for reporting). *)
+
+  val load : t -> int
+  (** Admitted tasks that have not returned yet (queued or running). *)
 
   val shutdown : t -> unit
   (** Stop accepting, let the workers drain the queue, join them.

@@ -143,5 +143,68 @@ let stress_tests =
         List.iter Domain.join domains);
   ]
 
+(* Service admission counts reservations: a slot is taken at [submit]
+   and given back when the task returns, so the bound holds however the
+   workers are scheduled. *)
+
+(* A gate tasks block on until the test opens it. *)
+let gate () =
+  let mu = Mutex.create () and cv = Condition.create () and opened = ref false in
+  let pass () =
+    Mutex.protect mu (fun () ->
+        while not !opened do
+          Condition.wait cv mu
+        done)
+  in
+  let open_ () =
+    Mutex.protect mu (fun () ->
+        opened := true;
+        Condition.broadcast cv)
+  in
+  (pass, open_)
+
+let await_load svc n =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Pool.Service.load svc <> n && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  check_int "load" n (Pool.Service.load svc)
+
+let service_tests =
+  [
+    tc "a worker handed a task is taken before it wakes" (fun () ->
+        let svc = Pool.Service.create ~workers:1 ~queue:0 () in
+        let pass, open_ = gate () in
+        let ran = Atomic.make 0 in
+        let task () = pass (); Atomic.incr ran in
+        (* Back to back: the worker may not have woken for the first. *)
+        check_bool "first admitted" true (Pool.Service.submit svc task);
+        check_bool "second rejected" false (Pool.Service.submit svc task);
+        check_int "one slot held" 1 (Pool.Service.load svc);
+        open_ ();
+        await_load svc 0;
+        check_bool "slot returned" true (Pool.Service.submit svc task);
+        Pool.Service.shutdown svc;
+        check_int "admitted tasks ran" 2 (Atomic.get ran);
+        check_bool "closed after shutdown" false (Pool.Service.submit svc task));
+    tc "admits workers + queue tasks, then rejects" (fun () ->
+        let svc = Pool.Service.create ~workers:2 ~queue:1 () in
+        let pass, open_ = gate () in
+        let ran = Atomic.make 0 in
+        let task () = pass (); Atomic.incr ran in
+        let admitted = List.init 5 (fun _ -> Pool.Service.submit svc task) in
+        check_bool "first three in, then out" true
+          (admitted = [ true; true; true; false; false ]);
+        check_int "three slots held" 3 (Pool.Service.load svc);
+        open_ ();
+        Pool.Service.shutdown svc;
+        check_int "every admitted task ran" 3 (Atomic.get ran);
+        check_int "no slot held" 0 (Pool.Service.load svc));
+  ]
+
 let suites =
-  [ ("util.pool", pool_tests); ("util.pool.stress", stress_tests) ]
+  [
+    ("util.pool", pool_tests);
+    ("util.pool.stress", stress_tests);
+    ("util.pool.service", service_tests);
+  ]

@@ -151,6 +151,25 @@ let arb_strings =
 let agrees_naive fsa ws =
   List.for_all (fun w -> Run.accepts fsa [ w ] = Run.accepts_naive fsa [ w ]) ws
 
+(* k strings of pairwise different lengths — ε, then 1–3, then 4–6
+   letters — in every rotation: the frontier kernel implies the longest
+   tape's head position, so each tape takes that role, and ε, in turn. *)
+let arb_rotations k =
+  let rotate ws r = List.filteri (fun i _ -> i >= r) ws @ List.filteri (fun i _ -> i < r) ws in
+  let show ws = String.concat ", " (List.map (Printf.sprintf "%S") ws) in
+  QCheck.make
+    ~print:(fun tups -> String.concat " | " (List.map show tups))
+    QCheck.Gen.(
+      map
+        (fun ws -> List.init k (rotate ws))
+        (flatten_l
+           (List.init k (fun i ->
+                string_size ~gen:gen_char (int_range (max 0 ((3 * i) - 2)) (3 * i))))))
+
+let frontier_agrees vars (phi, tups) =
+  let fsa = Compile.compile b ~vars phi in
+  List.for_all (fun ws -> Run.accepts fsa ws = Run.accepts_naive fsa ws) tups
+
 let runtime_props =
   [
     prop ~count:100 "runtime accepts ≡ naive accepts"
@@ -183,6 +202,13 @@ let runtime_props =
       (fun (phi, u, ws) ->
         let fsa = Compile.compile b ~vars:[ "x"; "y" ] phi in
         agrees_naive (Specialize.specialize fsa [ u ]) ws);
+    (* Multi-tape one-way automata run the frontier kernel. *)
+    prop ~count:100 "two-tape one-way accepts ≡ naive accepts"
+      (QCheck.pair (arb_sformula ~allow_right:false [ "x"; "y" ]) (arb_rotations 2))
+      (frontier_agrees [ "x"; "y" ]);
+    prop ~count:60 "three-tape one-way accepts ≡ naive accepts"
+      (QCheck.pair (arb_sformula ~allow_right:false [ "x"; "y"; "z" ]) (arb_rotations 3))
+      (frontier_agrees [ "x"; "y"; "z" ]);
     prop ~count:60 "runtime enumerator ≡ naive enumerator"
       (arb_sformula [ "x"; "y" ])
       (fun phi ->

@@ -190,6 +190,113 @@ let dfa_tests =
                  (Runtime.kernel_name (Optimize.optimized fsa)))));
   ]
 
+(* ------------------------------------------------------- frontier kernel *)
+
+(* Multi-tape one-way automata, acceptance graphs and rows over the
+   scratch budget; random one-way formulae are in test_qcheck.ml. *)
+let frontier_tests =
+  [
+    tc "state sets wider than one word: edit distance ≤ 2" (fun () ->
+        with_optimizer (fun () ->
+            let fsa =
+              Compile.compile dna ~vars:[ "u"; "v" ] (Combinators.edit_distance_le "u" "v" 2)
+            in
+            let o = Optimize.optimized fsa in
+            check_bool "more states than one 63-bit word" true (o.Fsa.num_states > 63);
+            check_string "kernel" "one-way frontier" (Runtime.kernel_name o);
+            let g = Prng.create 71 in
+            for i = 0 to 299 do
+              let u = Prng.string g dna (i mod 11) in
+              let v =
+                if i mod 3 = 0 then Prng.string_upto g dna 12
+                else Workload.mutate g dna ~edits:(i mod 5) u
+              in
+              check_bool
+                (Printf.sprintf "(%S, %S)" u v)
+                (Edit_distance.within u v 2)
+                (Run.accepts fsa [ u; v ])
+            done));
+    tc "three tapes: concat3 ≡ string concatenation" (fun () ->
+        with_optimizer (fun () ->
+            let fsa =
+              Compile.compile dna ~vars:[ "x"; "y"; "z" ] (Combinators.concat3 "x" "y" "z")
+            in
+            check_string "kernel" "one-way frontier"
+              (Runtime.kernel_name (Optimize.optimized fsa));
+            let g = Prng.create 73 in
+            for i = 0 to 299 do
+              let y = Prng.string_upto g dna 6 and z = Prng.string_upto g dna 6 in
+              let x =
+                match i mod 4 with
+                | 0 | 1 -> y ^ z
+                | 2 -> Prng.string_upto g dna 13
+                | _ -> Prng.string_upto g dna 3
+              in
+              check_bool
+                (Printf.sprintf "(%S, %S, %S)" x y z)
+                (x = y ^ z)
+                (Run.accepts fsa [ x; y; z ])
+            done));
+    tc "sparse dispatch: four tapes over 36 letters" (fun () ->
+        with_optimizer (fun () ->
+            (* t0 = t1·t2 with t3 = t0, built by hand: 38⁴ symbol vectors
+               put the dispatch table over the dense budget, and the
+               moves advance four different sets of tapes. *)
+            let sigma = Alphabet.of_string "abcdefghijklmnopqrstuvwxyz0123456789" in
+            let l = Symbol.Lend and r = Symbol.Rend and c ch = Symbol.Chr ch in
+            let tr src read dst moves = Fsa.transition ~src ~read ~dst ~moves in
+            let per_char f = List.map f (Alphabet.chars sigma) in
+            let fsa =
+              Fsa.make ~sigma ~arity:4 ~num_states:4 ~start:0 ~finals:[ 3 ]
+                ~transitions:
+                  ((tr 0 [ l; l; l; l ] 1 [ 1; 1; 0; 1 ]
+                   :: tr 1 [ r; r; l; r ] 2 [ 0; 0; 1; 0 ]
+                   :: tr 2 [ r; r; r; r ] 3 [ 0; 0; 0; 0 ]
+                   :: per_char (fun ch -> tr 1 [ c ch; c ch; l; c ch ] 1 [ 1; 1; 0; 1 ]))
+                  @ per_char (fun ch -> tr 1 [ c ch; r; l; c ch ] 2 [ 0; 0; 1; 0 ])
+                  @ per_char (fun ch -> tr 2 [ c ch; r; c ch; c ch ] 2 [ 1; 0; 1; 1 ]))
+            in
+            check_string "kernel" "one-way frontier"
+              (Runtime.kernel_name (Optimize.optimized fsa));
+            let g = Prng.create 83 in
+            for i = 0 to 199 do
+              let y = Prng.string_upto g sigma 5 and z = Prng.string_upto g sigma 5 in
+              let x = if i mod 3 = 0 then Prng.string_upto g sigma 10 else y ^ z in
+              let w = if i mod 4 = 0 then Prng.string_upto g sigma 10 else x in
+              let tup = [ x; y; z; w ] in
+              check_bool (String.concat "," tup) (x = y ^ z && w = x) (Run.accepts fsa tup);
+              check_bool "≡ naive" (Run.accepts_naive fsa tup) (Run.accepts fsa tup)
+            done));
+    tc "arity 0: acceptance graphs run the kernel" (fun () ->
+        with_optimizer (fun () ->
+            let fsa = Compile.compile b ~vars:[ "x"; "y" ] (Combinators.occurs_in "x" "y") in
+            List.iter
+              (fun tup ->
+                let g = Specialize.acceptance_graph fsa tup in
+                let want = Run.accepts_naive fsa tup in
+                check_bool "the kernel decides" true
+                  (Runtime.try_accepts (Optimize.optimized g) [] = Some want);
+                check_bool (String.concat "," tup) want (Run.accepts g []))
+              (all_tuples b ~arity:2 ~max_len:3)));
+    tc "over the scratch budget the packed search decides" (fun () ->
+        with_optimizer (fun () ->
+            let fsa =
+              Compile.compile dna ~vars:[ "x"; "y"; "z" ] (Combinators.concat3 "x" "y" "z")
+            in
+            let o = Optimize.optimized fsa in
+            let g = Prng.create 79 in
+            (* 4 levels × 602² cells × 2 words exceeds 2²⁰ words, so the
+               frontier kernel declines and the packed search decides. *)
+            let y = Prng.string g dna 600 and z = Prng.string g dna 600 in
+            List.iter
+              (fun x ->
+                let tup = [ x; y; z ] in
+                check_bool "decided" true (Runtime.try_accepts o tup = Some (x = y ^ z));
+                check_bool "answer" (x = y ^ z) (Run.accepts fsa tup);
+                check_bool "≡ naive" (Run.accepts_naive fsa tup) (Run.accepts fsa tup))
+              [ y ^ z; y ^ String.map (fun c -> if c = 'a' then 'c' else 'a') z ]));
+  ]
+
 (* ---------------------------------------------------------- compile cache *)
 
 let cache_tests =
@@ -376,6 +483,7 @@ let suites =
     ("runtime.dispatch", dispatch_tests);
     ("runtime.acceptance", acceptance_tests);
     ("runtime.dfa", dfa_tests);
+    ("runtime.frontier", frontier_tests);
     ("runtime.cache", cache_tests);
     ("runtime.generate", generate_tests);
   ]

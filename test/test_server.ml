@@ -93,7 +93,7 @@ let protocol_tests =
                 (* the session survives every error *)
                 check_bool "still alive" true (Client.ping c))));
     tc "STATS counts plan-cache hits for a repeated query" (fun () ->
-        with_server (fun _ socket ->
+        with_server ~cache_bound:128 (fun _ socket ->
             with_client socket (fun c ->
                 ignore (Client.query c qtext);
                 ignore (Client.query c qtext);
@@ -150,6 +150,73 @@ let overload_tests =
         | Ok _ -> Alcotest.fail "request succeeded after stop");
         Client.close c;
         Server.stop srv (* idempotent *));
+    tc "close then reconnect at once, one worker: always served" (fun () ->
+        with_server ~workers:1 ~backlog:0 (fun _ socket ->
+            for i = 1 to 20 do
+              with_client socket (fun c ->
+                  check_bool (Printf.sprintf "round %d served" i) true
+                    (Client.ping c))
+            done));
+    tc "a full queue rejects at once even when its session has sent a line"
+      (fun () ->
+        with_server ~workers:1 ~backlog:1 (fun srv socket ->
+            with_client socket (fun c1 ->
+                check_bool "first client served" true (Client.ping c1);
+                (* The queued session's request sits unread, so its
+                   descriptor reads ready until a worker takes it. *)
+                let fd2 = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+                Fun.protect
+                  ~finally:(fun () -> Unix.close fd2)
+                  (fun () ->
+                    Unix.connect fd2 (Unix.ADDR_UNIX socket);
+                    ignore (Unix.write_substring fd2 "PING\n" 0 5);
+                    let accepted () =
+                      let a, _, _, _ = Server.counters srv in
+                      a
+                    in
+                    let deadline = Unix.gettimeofday () +. 10.0 in
+                    while accepted () < 2 && Unix.gettimeofday () < deadline do
+                      Unix.sleepf 0.001
+                    done;
+                    check_int "second connection accepted" 2 (accepted ());
+                    let t0 = Unix.gettimeofday () in
+                    with_client socket (fun c3 ->
+                        match Client.request c3 "PING" with
+                        | Error m ->
+                            check_bool ("rejected as busy: " ^ m) true
+                              (contains m "busy");
+                            let waited = Unix.gettimeofday () -. t0 in
+                            check_bool
+                              (Printf.sprintf "rejected in %.3f s" waited)
+                              true (waited < 0.2)
+                        | Ok _ -> Alcotest.fail "third connection was admitted");
+                    (* the queued session is served once c1 quits *)
+                    check_bool "first client quits" true
+                      (Client.request c1 "QUIT" = Ok []);
+                    let ic = Unix.in_channel_of_descr fd2 in
+                    check_string "queued session answered" "OK 0" (input_line ic)))));
+    tc "BUSY is read even when the request is written after the close"
+      (fun () ->
+        with_server ~workers:1 ~backlog:0 (fun srv socket ->
+            with_client socket (fun c1 ->
+                check_bool "first client served" true (Client.ping c1);
+                with_client socket (fun c2 ->
+                    let rejected () =
+                      let _, r, _, _ = Server.counters srv in
+                      r
+                    in
+                    let deadline = Unix.gettimeofday () +. 10.0 in
+                    while rejected () = 0 && Unix.gettimeofday () < deadline do
+                      Unix.sleepf 0.001
+                    done;
+                    check_int "rejected" 1 (rejected ());
+                    (* let the server finish writing BUSY and close *)
+                    Unix.sleepf 0.05;
+                    match Client.request c2 "PING" with
+                    | Error m ->
+                        check_bool ("rejected as busy: " ^ m) true
+                          (contains m "busy")
+                    | Ok _ -> Alcotest.fail "second connection was admitted"))));
   ]
 
 let stress_tests =
@@ -165,7 +232,7 @@ let stress_tests =
           |]
         in
         let expected = Array.map (fun q -> reference q) mix in
-        with_server ~workers:4 (fun srv socket ->
+        with_server ~workers:4 ~cache_bound:128 (fun srv socket ->
             let client_rounds i =
               with_client socket (fun c ->
                   let bad = ref [] in
