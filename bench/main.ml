@@ -580,11 +580,14 @@ let parallel_bench () =
   Runtime.set_enabled true;
   Printf.printf "  sequential naive baseline: E1 %.1f ms, E9 %.2f ms\n%!"
     (e1_naive *. 1e3) (e9_naive *. 1e3);
-  (* Fast engine at each domain count, with cache counters per sweep. *)
+  (* Fast engine at each domain count, with memo counters per sweep
+     (clearing a memo zeroes its counters). *)
   Runtime.clear_cache ();
   Compile.clear_cache ();
-  Runtime.reset_stats ();
-  Compile.reset_stats ();
+  Optimize.clear_cache ();
+  Product.clear_cache ();
+  Limitation.clear_cache ();
+  Generate.clear_spec_cache ();
   let series =
     List.map
       (fun d ->
@@ -596,22 +599,17 @@ let parallel_bench () =
         (d, e1, e9))
       domain_counts
   in
-  let rs = Runtime.stats () in
-  let cs = Compile.stats () in
-  let rate hits misses =
-    let total = hits + misses in
-    if total = 0 then 0.0 else float_of_int hits /. float_of_int total
+  let memos = Memo.registered () in
+  let rate (m : Memo.stats) =
+    let total = m.hits + m.misses in
+    if total = 0 then 0.0 else float_of_int m.hits /. float_of_int total
   in
-  Printf.printf
-    "  index cache:   %d hits / %d misses / %d evictions (%.1f%% hit rate, %d entries)\n"
-    rs.Runtime.hits rs.Runtime.misses rs.Runtime.evictions
-    (100.0 *. rate rs.Runtime.hits rs.Runtime.misses)
-    rs.Runtime.entries;
-  Printf.printf
-    "  compile memo:  %d hits / %d misses / %d evictions (%.1f%% hit rate, %d entries)\n%!"
-    cs.Compile.hits cs.Compile.misses cs.Compile.evictions
-    (100.0 *. rate cs.Compile.hits cs.Compile.misses)
-    cs.Compile.entries;
+  List.iter
+    (fun (name, (m : Memo.stats)) ->
+      Printf.printf
+        "  %-10s memo: %d hits / %d misses / %d evictions (%.1f%% hit rate, %d entries)\n%!"
+        name m.hits m.misses m.evictions (100.0 *. rate m) m.entries)
+    memos;
   let e1_at d = let (_, e1, _) = List.find (fun (d', _, _) -> d' = d) series in e1 in
   let headline = e1_naive /. e1_at 4 in
   Printf.printf
@@ -638,107 +636,18 @@ let parallel_bench () =
   Printf.fprintf oc
     "  \"speedup_4_domains_vs_sequential_baseline\": %.2f,\n" headline;
   Printf.fprintf oc "  \"cache_stats\": {\n";
-  Printf.fprintf oc
-    "    \"index\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \
-     \"entries\": %d, \"hit_rate\": %.4f},\n"
-    rs.Runtime.hits rs.Runtime.misses rs.Runtime.evictions rs.Runtime.entries
-    (rate rs.Runtime.hits rs.Runtime.misses);
-  Printf.fprintf oc
-    "    \"compile\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \
-     \"entries\": %d, \"hit_rate\": %.4f}\n"
-    cs.Compile.hits cs.Compile.misses cs.Compile.evictions cs.Compile.entries
-    (rate cs.Compile.hits cs.Compile.misses);
+  List.iteri
+    (fun i (name, (m : Memo.stats)) ->
+      Printf.fprintf oc
+        "    %S: {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \
+         \"entries\": %d, \"hit_rate\": %.4f}%s\n"
+        name m.hits m.misses m.evictions m.entries (rate m)
+        (if i = List.length memos - 1 then "" else ","))
+    memos;
   Printf.fprintf oc "  }\n";
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "  wrote BENCH_parallel.json\n%!"
-
-(* -------------------------------------------------------------------- K1 *)
-
-(* Before/after for the optimize pass + shape-dispatched kernels on the
-   E1 suite (PR 2's single-domain database, so totals compare directly
-   with BENCH_parallel.json's domains=1 figure).  Both sides run the
-   fast runtime; the only difference is STRDB_OPT, flipped at runtime in
-   one process on identical workloads. *)
-let kernel_bench () =
-  B.section "K1 — optimize pass + shape-dispatched kernels on the E1 suite";
-  let min_time = if quick then 0.1 else 0.3 in
-  let db = Workload.genomic_db ~seed:11 ~n:(if quick then 8 else 12) ~len:6 in
-  let queries = e1_queries () in
-  let clear () =
-    Runtime.clear_cache ();
-    Compile.clear_cache ();
-    Optimize.clear_cache ();
-    Limitation.clear_cache ();
-    Generate.clear_spec_cache ()
-  in
-  let run_suite () =
-    List.map
-      (fun (name, free, phi) ->
-        let q = Query.make ~free phi in
-        let dt = B.time_per_run ~min_time (fun () -> Query.run dna db q) in
-        (name, dt))
-      queries
-  in
-  Optimize.set_enabled false;
-  clear ();
-  let before = run_suite () in
-  Optimize.set_enabled true;
-  clear ();
-  let after = run_suite () in
-  (* Kernel/shape selections per query, from the plan annotations. *)
-  let selections =
-    List.map
-      (fun (name, _free, phi) ->
-        let kernels =
-          match Eval.explain dna db phi with
-          | Error e -> [ "rejected: " ^ e ]
-          | Ok steps ->
-              List.filter_map
-                (function
-                  | Eval.Scan _ | Eval.IndexProbe _ -> None
-                  | Eval.Filter (_, k) -> Some k
-                  | Eval.Generator (_, _, k) -> Some k)
-                steps
-        in
-        (name, kernels))
-      queries
-  in
-  let total l = List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 l in
-  let before_total = total before and after_total = total after in
-  List.iter2
-    (fun ((name, b), (_, a)) (_, kernels) ->
-      Printf.printf "  %-34s before %8.2f ms  after %8.2f ms  %5.2fx  %s\n%!"
-        name (b *. 1e3) (a *. 1e3) (b /. a)
-        (String.concat " | " kernels))
-    (List.combine before after) selections;
-  Printf.printf
-    "  E1 suite: unoptimized %.2f ms, optimized %.2f ms, speedup %.2fx\n%!"
-    (before_total *. 1e3) (after_total *. 1e3)
-    (before_total /. after_total);
-  let oc = open_out "BENCH_kernels.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"kernels\",\n";
-  Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
-  Printf.fprintf oc "  \"e1_suite\": {\n";
-  Printf.fprintf oc "    \"before_ms\": %.2f,\n" (before_total *. 1e3);
-  Printf.fprintf oc "    \"after_ms\": %.2f,\n" (after_total *. 1e3);
-  Printf.fprintf oc "    \"speedup\": %.2f,\n" (before_total /. after_total);
-  Printf.fprintf oc "    \"queries\": [\n";
-  List.iteri
-    (fun i (((name, b), (_, a)), (_, kernels)) ->
-      Printf.fprintf oc
-        "      {\"name\": %S, \"before_ms\": %.2f, \"after_ms\": %.2f, \
-         \"speedup\": %.2f, \"kernels\": [%s]}%s\n"
-        name (b *. 1e3) (a *. 1e3) (b /. a)
-        (String.concat ", " (List.map (Printf.sprintf "%S") kernels))
-        (if i = List.length before - 1 then "" else ","))
-    (List.combine (List.combine before after) selections);
-  Printf.fprintf oc "    ]\n";
-  Printf.fprintf oc "  }\n";
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_kernels.json\n%!"
 
 (* -------------------------------------------------------------------- F1 *)
 
@@ -822,6 +731,7 @@ let fusion_bench () =
   let e1_after = run_suite () in
   let focus_after = run_focus () in
   let stats = Product.stats () in
+  let memo_hits = (List.assoc "product" (Memo.registered ())).Memo.hits in
   let total l = List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 l in
   let e1_bt = total e1_before and e1_at = total e1_after in
   List.iter2
@@ -837,7 +747,7 @@ let fusion_bench () =
      (budget %d states), %d cache hits\n%!"
     stats.Product.attempts stats.Product.sync_built stats.Product.seq_built
     stats.Product.budget_fallbacks (Product.state_budget ())
-    stats.Product.cache_hits;
+    memo_hits;
   let oc = open_out "BENCH_fusion.json" in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"bench\": \"fusion\",\n";
@@ -874,7 +784,7 @@ let fusion_bench () =
      \"cache_hits\": %d}\n"
     stats.Product.attempts stats.Product.sync_built stats.Product.seq_built
     stats.Product.budget_fallbacks stats.Product.ineligible
-    stats.Product.cache_hits;
+    memo_hits;
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "  wrote BENCH_fusion.json\n%!"
@@ -1452,7 +1362,6 @@ let serve_bench () =
 
 let only_runtime = Array.exists (fun a -> a = "runtime") Sys.argv
 let only_parallel = Array.exists (fun a -> a = "parallel") Sys.argv
-let only_kernels = Array.exists (fun a -> a = "kernels") Sys.argv
 let only_fusion = Array.exists (fun a -> a = "fusion") Sys.argv
 let only_index = Array.exists (fun a -> a = "index") Sys.argv
 let only_serve = Array.exists (fun a -> a = "serve") Sys.argv
@@ -1468,12 +1377,6 @@ let () =
     Printf.printf "strdb benchmark harness — parallel section only (%s mode)\n"
       (if quick then "quick" else "full");
     parallel_bench ();
-    exit 0
-  end;
-  if only_kernels then begin
-    Printf.printf "strdb benchmark harness — kernels section only (%s mode)\n"
-      (if quick then "quick" else "full");
-    kernel_bench ();
     exit 0
   end;
   if only_fusion then begin
@@ -1513,7 +1416,6 @@ let () =
   lba_bench ();
   runtime_bench ();
   parallel_bench ();
-  kernel_bench ();
   fusion_bench ();
   index_bench ();
   serve_bench ();

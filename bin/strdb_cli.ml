@@ -248,8 +248,7 @@ let query_cmd =
       & info [ "index" ]
           ~doc:
             "Build a q-gram factor index over the relations and let \
-             σ-selections probe it instead of scanning (see \\$STRDB_INDEX, \
-             \\$STRDB_QGRAM).")
+             σ-selections probe it instead of scanning (see \\$STRDB_INDEX).")
   in
   let run sigma jobs rels free body explain index =
     guard (fun () ->
@@ -315,7 +314,7 @@ let serve_cmd =
       & info [ "index" ]
           ~doc:
             "Build a q-gram factor index over the served database and let \
-             plans probe it (see \\$STRDB_INDEX, \\$STRDB_QGRAM).")
+             plans probe it (see \\$STRDB_INDEX).")
   in
   let workers =
     Arg.(

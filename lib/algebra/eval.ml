@@ -181,40 +181,33 @@ let conjunct_cost sigma ~vars s =
   match Strdb_calculus.Compile.compile sigma ~vars s with
   | exception _ -> (max_int, max_int, max_int)
   | fsa ->
-      let fsa =
-        if Strdb_fsa.Runtime.enabled () then Strdb_fsa.Optimize.optimized fsa
-        else fsa
-      in
+      let fsa = Strdb_fsa.Run.optimize fsa in
       ( Strdb_fsa.Optimize.shape_rank (Strdb_fsa.Optimize.shape_of fsa),
         fsa.Strdb_fsa.Fsa.num_states,
         Strdb_fsa.Fsa.size fsa )
 
-(* Gated with the rest of the optimization layer: with STRDB_OPT off the
-   planner keeps the original formula order, so before/after benchmarks
-   compare against the unoptimized engine. *)
 let by_cost sigma vars_of l =
-  if not (Strdb_fsa.Optimize.enabled ()) then l
-  else
-    List.stable_sort
-      (fun a b ->
-        compare (conjunct_cost sigma ~vars:(vars_of a) a)
-          (conjunct_cost sigma ~vars:(vars_of b) b))
-      l
+  List.stable_sort
+    (fun a b ->
+      compare (conjunct_cost sigma ~vars:(vars_of a) a)
+        (conjunct_cost sigma ~vars:(vars_of b) b))
+    l
 
 (* The shape/kernel annotation shown by [explain]: what the optimized
-   automaton looks like and which acceptance kernel will run on it. *)
+   automaton that will actually run (a compiled conjunct or a fused
+   product) looks like, and which acceptance kernel will run on it. *)
+let annotate_fsa ~kernel fsa =
+  let fsa = Strdb_fsa.Run.optimize fsa in
+  Printf.sprintf "%s; %s"
+    (Strdb_fsa.Optimize.describe fsa)
+    (match kernel with
+    | `Accepts -> Strdb_fsa.Runtime.kernel_name fsa
+    | `Generate -> "lazy enumerator")
+
 let annotate sigma ~vars ~kernel s =
   match Strdb_calculus.Compile.compile sigma ~vars s with
   | exception _ -> "shape unknown (compilation failed)"
-  | fsa ->
-      let fsa =
-        if Strdb_fsa.Runtime.enabled () then Strdb_fsa.Optimize.optimized fsa
-        else fsa
-      in
-      Printf.sprintf "%s; %s" (Strdb_fsa.Optimize.describe fsa)
-        (match kernel with
-        | `Accepts -> Strdb_fsa.Runtime.kernel_name fsa
-        | `Generate -> "lazy enumerator")
+  | fsa -> annotate_fsa ~kernel fsa
 
 (* A σ_A filter over bound columns: one shared FSA (a compiled conjunct
    or a fused product), one acceptance run per row.  Resolve the columns
@@ -292,19 +285,6 @@ let fuse_filters sigma filters =
     List.rev (close last groups)
   end
 
-(* Plan annotation for an already-built (fused) automaton: the shape and
-   state/transition counts of what will actually run, plus the kernel. *)
-let annotate_fsa ~kernel fsa =
-  let fsa =
-    if Strdb_fsa.Runtime.enabled () then Strdb_fsa.Optimize.optimized fsa
-    else fsa
-  in
-  Printf.sprintf "%s; %s"
-    (Strdb_fsa.Optimize.describe fsa)
-    (match kernel with
-    | `Accepts -> Strdb_fsa.Runtime.kernel_name fsa
-    | `Generate -> "lazy enumerator")
-
 (* Try to use [s] as a generator from the current table: returns the
    compiled FSA, the known/unknown split and the per-row output bound. *)
 let certify_generator sigma t s =
@@ -345,12 +325,7 @@ let index_prune st sigma strs (r, args) =
               match Strdb_calculus.Compile.compile sigma ~vars:[ v ] s with
               | exception _ -> ()
               | fsa -> (
-                  let fsa =
-                    if Strdb_fsa.Runtime.enabled () then
-                      Strdb_fsa.Optimize.optimized fsa
-                    else fsa
-                  in
-                  match Factors.necessary ~q:qg fsa with
+                  match Factors.necessary ~q:qg (Strdb_fsa.Run.optimize fsa) with
                   | Factors.Top -> ()
                   | Factors.Factors fs -> (
                       match Store.candidates st ~rel:r ~col:j ~factors:fs with
@@ -642,8 +617,8 @@ let prepare ?store sigma db ~free phi =
 (* Replay a plan: the only pass that touches rows.  Per-execution state
    is all local (the working table), so one plan may execute on many
    domains at once — the automata, certificates and pruned tuple lists
-   it closes over are immutable, and the shared caches underneath
-   (compile memo, runtime indexes, checker memo) are domain-safe. *)
+   it closes over are immutable, and the memos underneath (compile,
+   optimize, index, generate, the checker's own) are domain-safe. *)
 let execute_unsafe pool (p : Plan.t) =
   let t = ref (mk_table [] [ [||] ]) in
   List.iter

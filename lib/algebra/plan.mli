@@ -14,7 +14,7 @@
     Plans are immutable and domain-safe: {!Eval.execute} threads all
     per-execution state (the working table) through its own stack, and
     the only shared mutable state a plan closes over — the string-atom
-    checker's compile memo — is mutex-guarded. *)
+    checker's memo — is a mutex-guarded {!Strdb_util.Memo}. *)
 
 type plan_step =
   | Scan of string  (** join a relational atom. *)

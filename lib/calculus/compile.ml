@@ -1,5 +1,6 @@
 module Symbol = Strdb_fsa.Symbol
 module Fsa = Strdb_fsa.Fsa
+module Memo = Strdb_util.Memo
 
 (* An automaton under construction.  Invariants maintained by every
    combinator (the properties of Theorem 3.1):
@@ -252,112 +253,29 @@ let compile_uncached ?(trim = true) sigma ~vars phi =
 
 (* Memoized front door.  Eval.certify_generator and
    Formula.compiled_checker recompile the same string formula per
-   conjunct/per query; the cache collapses those to one compilation.
+   conjunct/per query; the memo collapses those to one compilation.
    Keys are structural — alphabet characters, tape order, formula, trim —
    and compiled FSAs are immutable, so sharing is safe; sharing is in
    fact desirable, because Runtime's dispatch index is keyed on the FSA's
-   physical identity and composes with this cache.
+   physical identity and composes with this memo.  Eviction drops one
+   least-recently-used entry at a time, never the whole table, so hot
+   entries keep the identity the index memo has built on.  [compare]
+   rather than [( = )]: it stops at physically equal subterms. *)
+let cache : (char list * Window.var list * Sformula.t * bool, Fsa.t) Memo.t =
+  Memo.create ~name:"compile" ~bound:256 ~hash:Hashtbl.hash
+    ~equal:(fun a b -> compare a b = 0)
+    ()
 
-   Eviction is LRU one entry at a time (each cached FSA carries a
-   last-use stamp; the overflow scan is O(entries) on the rare
-   eviction).  The old bound dropped the *whole* table at once, which
-   severed every physical-identity chain the Runtime index cache had
-   built on top of it.
+type stats = Memo.stats = { hits : int; misses : int; evictions : int; entries : int; bound : int }
 
-   The table is guarded by a mutex, and misses compile *outside* the
-   lock so a slow compilation on one domain never stalls cache hits on
-   the others.  Two domains may then race to compile the same key; the
-   first insert wins and the loser adopts the winner's FSA, preserving
-   the sharing guarantee. *)
-type key = char list * Window.var list * Sformula.t * bool
-
-type entry = { fsa : Fsa.t; mutable stamp : int }
-
-let cache : (key, entry) Hashtbl.t = Hashtbl.create 64
-let cache_mu = Mutex.create ()
-let cache_limit = ref 256
-let tick = ref 0
-let hits = ref 0
-let misses = ref 0
-let evictions = ref 0
-
-type stats = { hits : int; misses : int; evictions : int; entries : int }
-
-let stats () =
-  Mutex.protect cache_mu (fun () ->
-      {
-        hits = !hits;
-        misses = !misses;
-        evictions = !evictions;
-        entries = Hashtbl.length cache;
-      })
-
-let reset_stats () =
-  Mutex.protect cache_mu (fun () ->
-      hits := 0;
-      misses := 0;
-      evictions := 0)
-
-let clear_cache () = Mutex.protect cache_mu (fun () -> Hashtbl.reset cache)
-
-(* Drop least-recently-used entries until there is room for one more.
-   Called with the lock held. *)
-let evict_to_fit () =
-  while Hashtbl.length cache >= !cache_limit do
-    let victim =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, best) when best.stamp <= e.stamp -> acc
-          | _ -> Some (k, e))
-        cache None
-    in
-    match victim with
-    | None -> ()
-    | Some (k, _) ->
-        Hashtbl.remove cache k;
-        incr evictions
-  done
-
-let set_cache_limit n =
-  Mutex.protect cache_mu (fun () ->
-      cache_limit := max 1 n;
-      if Hashtbl.length cache >= !cache_limit then begin
-        (* keep room for the next insertion, like the overflow path *)
-        evict_to_fit ()
-      end)
+let stats () = Memo.stats cache
+let clear_cache () = Memo.clear cache
 
 let compile ?(trim = true) sigma ~vars phi =
   if not (Strdb_fsa.Runtime.enabled ()) then compile_uncached ~trim sigma ~vars phi
-  else begin
-    let key = (Strdb_util.Alphabet.chars sigma, vars, phi, trim) in
-    let cached =
-      Mutex.protect cache_mu (fun () ->
-          match Hashtbl.find_opt cache key with
-          | Some e ->
-              incr hits;
-              incr tick;
-              e.stamp <- !tick;
-              Some e.fsa
-          | None ->
-              incr misses;
-              None)
-    in
-    match cached with
-    | Some fsa -> fsa
-    | None ->
-        let fsa = compile_uncached ~trim sigma ~vars phi in
-        Mutex.protect cache_mu (fun () ->
-            match Hashtbl.find_opt cache key with
-            | Some e ->
-                incr tick;
-                e.stamp <- !tick;
-                e.fsa (* a concurrent compile won; share its automaton *)
-            | None ->
-                evict_to_fit ();
-                incr tick;
-                Hashtbl.replace cache key { fsa; stamp = !tick };
-                fsa)
-  end
+  else
+    Memo.find_or_add cache
+      (Strdb_util.Alphabet.chars sigma, vars, phi, trim)
+      (fun _ -> compile_uncached ~trim sigma ~vars phi)
 
 let compile_ordered sigma phi = compile sigma ~vars:(Sformula.vars phi) phi

@@ -34,34 +34,31 @@ val compile :
     for the size-ablation benches.
 
     Results are memoized on [(sigma, vars, phi, trim)] while the
-    {!Strdb_fsa.Runtime} is enabled: repeated compilations (per conjunct,
-    per query) return the same — physically shared — automaton, which
-    also lets the runtime's per-FSA dispatch index hit its cache.  The
-    memo is bounded with per-entry LRU eviction (never a full reset, so
-    hot entries keep their physical identity across unrelated churn) and
-    is guarded by a mutex — safe to call from pool workers; compilation
-    itself runs outside the lock.
+    {!Strdb_fsa.Runtime} is enabled, in the ["compile"]
+    {!Strdb_util.Memo} (256 entries): repeated compilations (per
+    conjunct, per query) return the same — physically shared —
+    automaton, which also lets the runtime's per-FSA dispatch index hit
+    its memo.  Eviction drops one least-recently-used entry at a time
+    (never a full reset, so hot entries keep their physical identity
+    across unrelated churn); safe to call from pool workers, and
+    compilation itself runs outside the memo's lock.
     @raise Invalid_argument when [vars] misses a variable of [phi]. *)
 
 val clear_cache : unit -> unit
-(** Drop the memo table (benchmark hygiene). *)
+(** Drop the memo table and zero its counters (benchmark hygiene). *)
 
-type stats = {
+type stats = Strdb_util.Memo.stats = {
   hits : int;  (** memoized compilations returned shared. *)
   misses : int;  (** compilations performed. *)
   evictions : int;  (** single entries dropped by LRU overflow. *)
   entries : int;  (** live entries right now. *)
+  bound : int;  (** 256. *)
 }
-(** Counters since start / {!reset_stats}; the benches report memo hit
+(** Counters since start or {!clear_cache}; the benches report memo hit
     rates from these, and a miss count that keeps climbing on a workload
     that cycles through few formulae signals eviction thrash. *)
 
 val stats : unit -> stats
-val reset_stats : unit -> unit
-
-val set_cache_limit : int -> unit
-(** Cap the memo entry count (default 256, minimum 1), evicting LRU
-    entries immediately if already over.  Test/bench hook. *)
 
 val compile_ordered : Strdb_util.Alphabet.t -> Sformula.t -> Strdb_fsa.Fsa.t
 (** [compile sigma ~vars:(Sformula.vars phi) phi]: tapes in ascending

@@ -48,25 +48,23 @@ type checker = Sformula.t -> (var * string) list -> bool
 
 let naive_checker = Naive.holds
 
-(* The closure's memo is shared by every row of a filter step, and the
-   parallel evaluator runs those rows on pool domains — hence the mutex.
-   Only the table lookup is under the lock; the acceptance run is not. *)
+(* The closure's memo is shared by every row of a negation filter, and
+   the parallel evaluator runs those rows on pool domains; it is private
+   to the closure, so it is not registered.  An entry carries the
+   automaton already prepared for acceptance (optimized form and
+   dispatch index), so a row takes this one lookup and no other. *)
 let compiled_checker sigma =
-  let cache : (Sformula.t, Window.var list * Strdb_fsa.Fsa.t) Hashtbl.t =
-    Hashtbl.create 16
+  let memo =
+    Strdb_util.Memo.create ~bound:64 ~hash:Hashtbl.hash
+      ~equal:(fun a b -> compare a b = 0)
+      ()
   in
-  let mu = Mutex.create () in
+  let prepare phi =
+    let vars = Sformula.vars phi in
+    (vars, Strdb_fsa.Run.prepare (Compile.compile sigma ~vars phi))
+  in
   fun phi bindings ->
-    let vars, fsa =
-      Mutex.protect mu (fun () ->
-          match Hashtbl.find_opt cache phi with
-          | Some entry -> entry
-          | None ->
-              let vars = Sformula.vars phi in
-              let fsa = Compile.compile sigma ~vars phi in
-              Hashtbl.replace cache phi (vars, fsa);
-              (vars, fsa))
-    in
+    let vars, prepared = Strdb_util.Memo.find_or_add memo phi prepare in
     let tuple =
       List.map
         (fun v ->
@@ -75,7 +73,7 @@ let compiled_checker sigma =
           | None -> invalid_arg ("Formula: unbound string-formula variable " ^ v))
         vars
     in
-    Strdb_fsa.Run.accepts fsa tuple
+    Strdb_fsa.Run.accepts_prepared prepared tuple
 
 let eval ?(checker = naive_checker) sigma db ~max_len env phi =
   let domain = Strdb_util.Strutil.all_strings_upto sigma max_len in

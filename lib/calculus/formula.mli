@@ -55,8 +55,11 @@ val naive_checker : checker
 
 val compiled_checker : Strdb_util.Alphabet.t -> checker
 (** Compile each distinct string formula once (Theorem 3.1) and decide by
-    FSA acceptance (Theorem 3.3); memoised, so repeated atoms across a
-    query evaluation are compiled once. *)
+    FSA acceptance (Theorem 3.3).  Each returned checker keeps its own
+    memo (64 entries, not registered) of prepared automata
+    ({!Strdb_fsa.Run.prepare}), so repeated atoms across a query
+    evaluation are compiled and resolved once, and a call takes one memo
+    lookup. *)
 
 val eval :
   ?checker:checker ->

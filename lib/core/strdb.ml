@@ -28,6 +28,8 @@ module Alphabet = Strdb_util.Alphabet
 module Strutil = Strdb_util.Strutil
 module Prng = Strdb_util.Prng
 module Pool = Strdb_util.Pool
+module Memo = Strdb_util.Memo
+module Knob = Strdb_util.Knob
 module Regex = Strdb_automata.Regex
 module Nfa = Strdb_automata.Nfa
 module Dfa = Strdb_automata.Dfa

@@ -69,6 +69,13 @@ let transition ~src ~read ~dst ~moves =
   { src; read = Array.of_list read; dst; moves = Array.of_list moves }
 
 let size t = Array.length t.transitions
+
+(* Memos keyed on an automaton's identity compare with [==] and hash
+   its sizes: a few nanoseconds, where [Hashtbl.hash] on a whole
+   automaton costs over 100 ns and, reading only a bounded prefix of
+   it, still puts equal-sized automata in one bucket. *)
+let size_hash t = (((t.num_states * 65599) + size t) * 31) + t.arity
+
 let is_final t q = t.finals.(q)
 
 let finals_list t =

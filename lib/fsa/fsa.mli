@@ -49,6 +49,10 @@ val transition :
 val size : t -> int
 (** |A|: the number of transitions (the size measure of Section 3). *)
 
+val size_hash : t -> int
+(** A hash of the state, transition and tape counts: the hash of the
+    memos keyed on an automaton's physical identity. *)
+
 val is_final : t -> int -> bool
 (** Is the state final? *)
 

@@ -351,55 +351,30 @@ let accepted a ~max_len =
    often binds the same tuple repeatedly within one), so the Lemma 3.1
    product — the optimize pass that trims it, usually to almost
    nothing, and its private dispatch index — is paid once per
-   (automaton, inputs) instead of once per row visit.  Same lock-free
-   bounded-list pattern as the other caches; gated on
-   {!Optimize.enabled} with the rest of the optimization layer. *)
-let spec_cache : ((Fsa.t * string list) * (Fsa.t * Runtime.t)) list Atomic.t =
-  Atomic.make []
+   (automaton, inputs) instead of once per row visit.  The inputs are
+   what tells entries apart, so they are what the memo hashes. *)
+let spec_cache : (Fsa.t * string list, Fsa.t * Runtime.t) Strdb_util.Memo.t =
+  Strdb_util.Memo.create ~name:"generate" ~bound:512
+    ~hash:(fun (a, inputs) -> Hashtbl.hash inputs + Fsa.size_hash a)
+    ~equal:(fun (a, ins) (a', ins') -> a == a' && ins = ins')
+    ()
 
-let spec_cache_limit = 512
+let clear_spec_cache () = Strdb_util.Memo.clear spec_cache
 
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let clear_spec_cache () = Atomic.set spec_cache []
-
-let rec spec_insert key v =
-  let cur = Atomic.get spec_cache in
-  match List.find_opt (fun ((f, ins), _) -> f == fst key && ins = snd key) cur with
-  | Some (_, v') -> v'
-  | None ->
-      if
-        Atomic.compare_and_set spec_cache cur
-          (take spec_cache_limit ((key, v) :: cur))
-      then v
-      else spec_insert key v
-
-let specialize_optimized a inputs =
-  match
-    List.find_opt
-      (fun ((f, ins), _) -> f == a && ins = inputs)
-      (Atomic.get spec_cache)
-  with
-  | Some (_, entry) -> entry
-  | None ->
-      (* Uncached [Optimize.run] on the fresh product: the identity-keyed
-         [Optimize.optimized] memo would never hit — but the pass itself
-         pays off (Specialize never trims backward-unreachable states,
-         and Lemma 3.1 leaves stationary chains to eliminate). *)
-      let spec = Optimize.run (Specialize.specialize a inputs) in
-      spec_insert (a, inputs) (spec, Runtime.index_uncached spec)
+(* Uncached [Optimize.run] on the fresh product: the identity-keyed
+   [Optimize.optimized] memo would never hit — but the pass itself pays
+   off (Specialize never trims backward-unreachable states, and Lemma
+   3.1 leaves stationary chains to eliminate). *)
+let specialize_optimized (a, inputs) =
+  let spec = Optimize.run (Specialize.specialize a inputs) in
+  (spec, Runtime.index_uncached spec)
 
 let outputs a ~inputs ~max_len =
   if Runtime.enabled () then
     let spec, rt =
-      if Optimize.enabled () then specialize_optimized a inputs
-      else
-        let spec = Specialize.specialize a inputs in
-        (spec, Runtime.index_uncached spec)
+      Strdb_util.Memo.find_or_add spec_cache (a, inputs) specialize_optimized
     in
     enumerate rt spec ~max_len
   else accepted_naive (Specialize.specialize a inputs) ~max_len
+
 let is_empty_upto a ~max_len = accepted a ~max_len = []

@@ -33,14 +33,16 @@ val outputs : Fsa.t -> inputs:string list -> max_len:int -> string list list
     (Lemma 3.1) and enumerates the accepted contents of the remaining
     tapes, each bounded by [max_len]; sorted.
 
-    While {!Optimize.enabled}, the specialized product is run through
+    With the {!Runtime} enabled, the specialized product is run through
     [Optimize.run] (trimming usually collapses it drastically) and the
     result is memoized with its private dispatch index on [(a, inputs)]
-    — bounded and domain-safe — so repeated expansions of the same
+    in the ["generate"] {!Strdb_util.Memo} (512 entries, hashed on the
+    input strings, domain-safe), so repeated expansions of the same
     bound row amortize the Lemma 3.1 construction and the index. *)
 
 val clear_spec_cache : unit -> unit
-(** Drop memoized optimized specializations (benchmark hygiene). *)
+(** Drop memoized optimized specializations and zero the memo's
+    counters (benchmark hygiene). *)
 
 val is_empty_upto : Fsa.t -> max_len:int -> bool
 (** No accepted tuple with all components of length at most [max_len].

@@ -1,3 +1,5 @@
+module Memo = Strdb_util.Memo
+
 type bound = { formula : string; eval : int list -> int }
 type verdict = Limited of bound | Unlimited of string
 
@@ -461,70 +463,25 @@ let analyze_raw ~max_crossing_states ~max_window (a : Fsa.t) ~inputs ~outputs
    typical query put together — and the Eval planner re-certifies the
    same compile-memoized automaton on every run.  Verdicts are immutable
    (the [eval] closure captures only the automaton's sizes), so caching
-   is purely a time win.  Gated on {!Optimize.enabled} with the rest of
-   the optimization layer, which keeps before/after benchmarks honest
-   and is how the qcheck suite cross-checks both configurations. *)
-let cache :
-    ((Fsa.t * int * int * int list * int list) * (verdict, string) result)
-    list
-    Atomic.t =
-  Atomic.make []
+   is purely a time win.  Identity keying is observable in the stats: a
+   structurally-equal clone is a fresh miss, because deep-comparing
+   whole automata per probe is the pathology the keying avoids. *)
+let cache =
+  Memo.create ~name:"limitation" ~bound:128
+    ~hash:(fun (a, _, _, _, _) -> Fsa.size_hash a)
+    ~equal:(fun (f, mcs, mw, ins, outs) (f', mcs', mw', ins', outs') ->
+      f == f' && mcs = mcs' && mw = mw' && ins = ins' && outs = outs')
+    ()
 
-let cache_limit = 128
+type stats = Memo.stats = { hits : int; misses : int; evictions : int; entries : int; bound : int }
 
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-(* Hit/miss telemetry, so the physical-identity keying is observable: a
-   re-analysis of the very same compile-memoized automaton must count a
-   hit, a structurally-equal clone must count a miss (it is a different
-   automaton as far as [==] is concerned, and deep-comparing whole
-   automata against up to [cache_limit] entries per probe is the
-   pathology the keying avoids). *)
-type cache_stats = { hits : int; misses : int; entries : int }
-
-let cache_hits = Atomic.make 0
-let cache_misses = Atomic.make 0
-
-let cache_stats () =
-  {
-    hits = Atomic.get cache_hits;
-    misses = Atomic.get cache_misses;
-    entries = List.length (Atomic.get cache);
-  }
-
-let clear_cache () =
-  Atomic.set cache [];
-  Atomic.set cache_hits 0;
-  Atomic.set cache_misses 0
-
-let key_eq (f, mcs, mw, ins, outs) (f', mcs', mw', ins', outs') =
-  f == f' && mcs = mcs' && mw = mw' && ins = ins' && outs = outs'
-
-let rec insert key v =
-  let cur = Atomic.get cache in
-  match List.find_opt (fun (k, _) -> key_eq k key) cur with
-  | Some (_, v') -> v'
-  | None ->
-      if Atomic.compare_and_set cache cur (take cache_limit ((key, v) :: cur))
-      then v
-      else insert key v
+let cache_stats () = Memo.stats cache
+let clear_cache () = Memo.clear cache
 
 let analyze ?(max_crossing_states = 50000) ?(max_window = 12) (a : Fsa.t)
     ~inputs ~outputs =
-  if not (Optimize.enabled ()) then
-    analyze_raw ~max_crossing_states ~max_window a ~inputs ~outputs
-  else
-    let key = (a, max_crossing_states, max_window, inputs, outputs) in
-    match List.find_opt (fun (k, _) -> key_eq k key) (Atomic.get cache) with
-    | Some (_, v) ->
-        Atomic.incr cache_hits;
-        v
-    | None ->
-        Atomic.incr cache_misses;
-        insert key (analyze_raw ~max_crossing_states ~max_window a ~inputs ~outputs)
+  Memo.find_or_add cache (a, max_crossing_states, max_window, inputs, outputs)
+    (fun _ -> analyze_raw ~max_crossing_states ~max_window a ~inputs ~outputs)
 
 let limits a ~inputs ~outputs =
   match analyze a ~inputs ~outputs with Ok (Limited _) -> true | _ -> false

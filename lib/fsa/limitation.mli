@@ -65,23 +65,27 @@ val analyze :
     construction exceeds [max_crossing_states].
 
     Verdicts are memoized on the FSA's physical identity and the analysis
-    parameters (bounded, domain-safe) while {!Optimize.enabled} — the
-    crossing-sequence construction dominates repeated query planning
-    otherwise.  With the optimization layer disabled every call
-    re-analyzes from scratch. *)
+    parameters in the ["limitation"] {!Strdb_util.Memo} (128 entries,
+    domain-safe) — the crossing-sequence construction dominates repeated
+    query planning otherwise. *)
 
 val clear_cache : unit -> unit
-(** Drop memoized verdicts and reset the counters (benchmark hygiene). *)
+(** Drop memoized verdicts and zero the counters (benchmark hygiene). *)
 
-type cache_stats = { hits : int; misses : int; entries : int }
+type stats = Strdb_util.Memo.stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  entries : int;
+  bound : int;
+}
 
-val cache_stats : unit -> cache_stats
+val cache_stats : unit -> stats
 (** Verdict-memo telemetry.  The memo keys on the automaton's
-    {e physical} identity ([==], like [Optimize.cache]): analyzing the
+    {e physical} identity ([==], like the optimize memo): analyzing the
     same compile-memoized automaton twice is one miss then one hit,
     while a structurally-equal clone is a fresh miss — deep-comparing
-    whole automata against every entry per probe is exactly what the
-    keying avoids. *)
+    whole automata per probe is exactly what the keying avoids. *)
 
 val limits : Fsa.t -> inputs:int list -> outputs:int list -> bool
 (** [limits a ~inputs ~outputs] is [true] exactly when {!analyze} returns

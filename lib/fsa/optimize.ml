@@ -12,21 +12,8 @@
    original on random compiled formulae, both with and without Lemma 3.1
    specialisation. *)
 
-(* ------------------------------------------------------------------ *)
-(* Toggle: STRDB_OPT=0 (or false/off/no) disables the pass engine-wide;
-   benches flip it at runtime for before/after on identical workloads. *)
-
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "STRDB_OPT" with
-    | Some s -> (
-        match String.lowercase_ascii (String.trim s) with
-        | "0" | "false" | "off" | "no" -> false
-        | _ -> true)
-    | None -> true)
-
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
+(* Always true: kept only for perfbench/layers.ml, which still asks. *)
+let enabled () = true
 
 (* ------------------------------------------------------------------ *)
 (* Shape analysis (the Section 5 taxonomy).  A tape is one-way when no
@@ -242,37 +229,19 @@ let run (a : Fsa.t) =
   if cost a2 <= cost a0 then a2 else a0
 
 (* ------------------------------------------------------------------ *)
-(* Cache, keyed on physical identity like the Runtime index cache (the
+(* Memo, keyed on physical identity like the Runtime index memo (the
    Compile memo returns shared automata, so repeated queries optimize
    once).  When the pass wins nothing, [optimized] returns the input
    itself, keeping the FSA's identity — and with it any Runtime index
    already built for it. *)
 
-let cache : (Fsa.t * Fsa.t) list Atomic.t = Atomic.make []
-let cache_limit = 256
-
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let rec insert a b =
-  let cur = Atomic.get cache in
-  match List.find_opt (fun (f, _) -> f == a) cur with
-  | Some (_, b') -> b'
-  | None ->
-      if Atomic.compare_and_set cache cur (take cache_limit ((a, b) :: cur))
-      then b
-      else insert a b
+let cache : (Fsa.t, Fsa.t) Strdb_util.Memo.t =
+  Strdb_util.Memo.create ~name:"optimize" ~bound:256 ~hash:Fsa.size_hash
+    ~equal:( == ) ()
 
 let optimized (a : Fsa.t) =
-  if not (enabled ()) then a
-  else
-    match List.find_opt (fun (f, _) -> f == a) (Atomic.get cache) with
-    | Some (_, b) -> b
-    | None ->
-        let b = run a in
-        let b = if cost b < cost a then b else a in
-        insert a b
+  Strdb_util.Memo.find_or_add cache a (fun a ->
+      let b = run a in
+      if cost b < cost a then b else a)
 
-let clear_cache () = Atomic.set cache []
+let clear_cache () = Strdb_util.Memo.clear cache

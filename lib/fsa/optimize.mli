@@ -56,21 +56,15 @@ val run : Fsa.t -> Fsa.t
     than the trimmed, deduplicated input. *)
 
 val optimized : Fsa.t -> Fsa.t
-(** [run], cached on the FSA's physical identity (compile-memoized
-    automata optimize once per process) and gated on the toggle: when
-    disabled — or when the pass wins nothing — returns [a] itself, so
-    downstream identity-keyed caches (the Runtime index) are unaffected.
-    Domain-safe: lock-free immutable list behind an [Atomic.t]. *)
+(** [run], memoized on the FSA's physical identity in the ["optimize"]
+    {!Strdb_util.Memo} (256 entries; compile-memoized automata optimize
+    once per process).  When the pass wins nothing it returns [a]
+    itself, so downstream identity-keyed memos (the Runtime index) are
+    unaffected.  Domain-safe. *)
 
 val clear_cache : unit -> unit
-(** Drop the memo (benchmark hygiene). *)
-
-(** {1 Toggle} *)
+(** Drop the memo and zero its counters (benchmark hygiene). *)
 
 val enabled : unit -> bool
-(** Is the pass enabled?  Defaults to true; the [STRDB_OPT] environment
-    variable set to [0]/[false]/[off]/[no] disables it at startup. *)
-
-val set_enabled : bool -> unit
-(** Flip the pass at runtime (the K1 bench measures before/after this
-    way; tests run the suite under both settings). *)
+(** Always [true]: the pass can no longer be switched off.  Kept only
+    because [perfbench/layers.ml] still calls it. *)

@@ -15,35 +15,18 @@ module Alphabet = Strdb_util.Alphabet
 type frame = string list
 
 (* ------------------------------------------------------------------ *)
-(* Toggles, mirroring the STRDB_OPT conventions. *)
+(* Toggle and state budget. *)
 
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "STRDB_FUSE" with
-    | Some s -> (
-        match String.lowercase_ascii (String.trim s) with
-        | "0" | "false" | "off" | "no" -> false
-        | _ -> true)
-    | None -> true)
-
+let enabled_flag = Atomic.make (Strdb_util.Knob.flag "STRDB_FUSE" ~default:true)
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
-
-let default_state_budget = 4096
-
-let budget_flag =
-  Atomic.make
-    (match Sys.getenv_opt "STRDB_PRODUCT_STATES" with
-    | Some s -> ( match int_of_string_opt (String.trim s) with
-                  | Some n when n > 0 -> n
-                  | _ -> default_state_budget)
-    | None -> default_state_budget)
-
+let budget_flag = Atomic.make 4096
 let state_budget () = Atomic.get budget_flag
 let set_state_budget n = Atomic.set budget_flag (max 1 n)
 
 (* ------------------------------------------------------------------ *)
-(* Counters, reported by the F1 bench. *)
+(* Counters, reported by the F1 bench; memo hits are in the memo's own
+   stats. *)
 
 type stats = {
   attempts : int;
@@ -51,7 +34,6 @@ type stats = {
   seq_built : int;
   budget_fallbacks : int;
   ineligible : int;
-  cache_hits : int;
 }
 
 let c_attempts = Atomic.make 0
@@ -59,7 +41,6 @@ let c_sync = Atomic.make 0
 let c_seq = Atomic.make 0
 let c_budget = Atomic.make 0
 let c_inel = Atomic.make 0
-let c_hits = Atomic.make 0
 
 let stats () =
   {
@@ -68,12 +49,10 @@ let stats () =
     seq_built = Atomic.get c_seq;
     budget_fallbacks = Atomic.get c_budget;
     ineligible = Atomic.get c_inel;
-    cache_hits = Atomic.get c_hits;
   }
 
 let reset_stats () =
-  List.iter (fun c -> Atomic.set c 0)
-    [ c_attempts; c_sync; c_seq; c_budget; c_inel; c_hits ]
+  List.iter (fun c -> Atomic.set c 0) [ c_attempts; c_sync; c_seq; c_budget; c_inel ]
 
 (* ------------------------------------------------------------------ *)
 (* Frames. *)
@@ -128,10 +107,10 @@ let rec int_pow b e = if e = 0 then 1 else b * int_pow b (e - 1)
 
    Every move emitted is 0 or +1, so unidirectionality is preserved and
    the fused automaton keeps the linear one-way frontier kernel.  The
-   reachable state space is saturated breadth-first under the
-   [STRDB_PRODUCT_STATES] budget; factor pairs whose traversal phases
-   diverge unboundedly (a counter scan against a length scan, say) blow
-   the budget and report [Overflow], which is a semantic necessity —
+   reachable state space is saturated breadth-first under the state
+   budget; factor pairs whose traversal phases diverge unboundedly (a
+   counter scan against a length scan, say) blow the budget and report
+   [Overflow], which is a semantic necessity —
    their synchronized space genuinely is infinite — not just a cost
    guard. *)
 
@@ -540,86 +519,51 @@ let product_seq ((a : Fsa.t), fa) ((b : Fsa.t), fb) =
 (* The memoized dispatcher.  Keyed on physical factor identities (the
    Compile memo hands out shared automata), so a query plan rebuilt for
    every run reuses one product — and with it the Optimize and Runtime
-   caches keyed on the product's identity. *)
+   memos keyed on the product's identity. *)
 
 type key = Fsa.t * frame * Fsa.t * frame
 
-let cache : (key * (Fsa.t * frame) option) list Atomic.t = Atomic.make []
-let cache_limit = 128
+let cache : (key, (Fsa.t * frame) option) Strdb_util.Memo.t =
+  Strdb_util.Memo.create ~name:"product" ~bound:128
+    ~hash:(fun (a, _, b, _) -> (Fsa.size_hash a * 31) + Fsa.size_hash b)
+    ~equal:(fun (a, fa, b, fb) (a', fa', b', fb') ->
+      a == a' && b == b' && fa = fa' && fb = fb')
+    ()
 
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
+let clear_cache () = Strdb_util.Memo.clear cache
 
-let rec insert key r =
-  let cur = Atomic.get cache in
-  match
-    List.find_opt
-      (fun ((a', fa', b', fb'), _) ->
-        let a, fa, b, fb = key in
-        a' == a && b' == b && fa' = fa && fb' = fb)
-      cur
-  with
-  | Some (_, r') -> r'
-  | None ->
-      if Atomic.compare_and_set cache cur (take cache_limit ((key, r) :: cur))
-      then r
-      else insert key r
-
-let clear_cache () = Atomic.set cache []
+let build ((a, fa) as left) ((b, fb) as right) =
+  if not (compatible left right) then begin
+    Atomic.incr c_inel;
+    None
+  end
+  else begin
+    Atomic.incr c_attempts;
+    (* Optimized factors give smaller products; the passes preserve
+       the normal-finals property. *)
+    let a' = Optimize.optimized a and b' = Optimize.optimized b in
+    let r =
+      match product_sync_impl (a', fa) (b', fb) with
+      | Built (p, f) ->
+          Atomic.incr c_sync;
+          Some (p, f)
+      | Overflow ->
+          (* Budget blowout means the synchronized space is too large
+             (often genuinely infinite for phase-divergent factors).
+             The sequential composition would still be exact, but its
+             generate-then-test evaluation is no faster than leaving
+             the conjuncts unfused — so fall back to the unfused plan
+             and let the caller keep separate passes. *)
+          Atomic.incr c_budget;
+          None
+      | Ineligible ->
+          let r = product_seq (a', fa) (b', fb) in
+          if Option.is_some r then Atomic.incr c_seq;
+          r
+    in
+    Option.map (fun (p, f) -> (Optimize.optimized p, f)) r
+  end
 
 let fuse ((a, fa) as left) ((b, fb) as right) =
   if not (enabled ()) then None
-  else
-    match
-      List.find_opt
-        (fun ((a', fa', b', fb'), _) ->
-          a' == a && b' == b && fa' = fa && fb' = fb)
-        (Atomic.get cache)
-    with
-    | Some (_, r) ->
-        Atomic.incr c_hits;
-        r
-    | None ->
-        let r =
-          if not (compatible left right) then begin
-            Atomic.incr c_inel;
-            None
-          end
-          else begin
-            Atomic.incr c_attempts;
-            (* Optimized factors give smaller products; the passes
-               preserve the normal-finals property. *)
-            let a' = if Optimize.enabled () then Optimize.optimized a else a in
-            let b' = if Optimize.enabled () then Optimize.optimized b else b in
-            let seq () =
-              match product_seq (a', fa) (b', fb) with
-              | Some pf ->
-                  Atomic.incr c_seq;
-                  Some pf
-              | None -> None
-            in
-            match product_sync_impl (a', fa) (b', fb) with
-            | Built (p, f) ->
-                Atomic.incr c_sync;
-                Some (p, f)
-            | Overflow ->
-                (* Budget blowout means the synchronized space is too large
-                   (often genuinely infinite for phase-divergent factors).
-                   The sequential composition would still be exact, but its
-                   generate-then-test evaluation is no faster than leaving
-                   the conjuncts unfused — so fall back to the unfused plan
-                   and let the caller keep separate passes. *)
-                Atomic.incr c_budget;
-                None
-            | Ineligible -> seq ()
-          end
-        in
-        let r =
-          Option.map
-            (fun (p, f) ->
-              ((if Optimize.enabled () then Optimize.optimized p else p), f))
-            r
-        in
-        insert (a, fa, b, fb) r
+  else Strdb_util.Memo.find_or_add cache (a, fa, b, fb) (fun _ -> build left right)

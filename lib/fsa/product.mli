@@ -13,13 +13,13 @@
     physical head per merged tape; a factor reading ahead of the
     physical head records its reads in a per-tape {e window} of guessed
     symbols which later physical reads verify.  The reachable product
-    state space is built lazily under a configurable budget
-    ([STRDB_PRODUCT_STATES]): pairs whose traversal phases diverge
-    unboundedly (e.g. a counter scan against a same-length scan) blow
-    the budget and fall back.  When the saturation terminates the
-    construction is exact, and all product moves are in {0, +1}, so the
-    product of unidirectional factors is unidirectional and keeps the
-    linear one-way frontier kernel.
+    state space is built lazily under a state budget (4096 states):
+    pairs whose traversal phases diverge unboundedly (e.g. a counter
+    scan against a same-length scan) blow the budget and fall back.
+    When the saturation terminates the construction is exact, and all
+    product moves are in {0, +1}, so the product of unidirectional
+    factors is unidirectional and keeps the linear one-way frontier
+    kernel.
 
     {b Sequential composition} ({!product_seq}) — for arbitrary factors
     in compiled normal form (every final state outgoing-free, so
@@ -36,23 +36,24 @@
     passes, so blowing the budget never buys a slower plan.
     Results are memoized on the physical identities of the factors, so
     repeated plans reuse one product automaton — and with it any
-    optimizer/runtime caches keyed on it. *)
+    optimizer/runtime memos keyed on it. *)
 
 type frame = string list
 (** A variable frame: the tape names of an automaton, in tape order,
     duplicate-free. *)
 
 val enabled : unit -> bool
-(** The [STRDB_FUSE] master toggle (default on; [0]/[false]/[off]/[no]
-    disables).  With fusion off {!fuse} always answers [None] and the
-    evaluator reproduces the unfused engine exactly. *)
+(** The [STRDB_FUSE] master toggle (default on; an off spelling,
+    {!Strdb_util.Knob}, disables).  With fusion off {!fuse} always
+    answers [None] and the evaluator reproduces the unfused engine
+    exactly. *)
 
 val set_enabled : bool -> unit
 (** Flip the toggle at runtime (benchmarks, tests). *)
 
 val state_budget : unit -> int
 (** Cap on lazily-built synchronized product states before falling back
-    ([STRDB_PRODUCT_STATES], default 4096). *)
+    (4096 unless {!set_state_budget} changed it). *)
 
 val set_state_budget : int -> unit
 (** Override the budget at runtime. *)
@@ -64,11 +65,12 @@ type stats = {
   budget_fallbacks : int;
       (** synchronized constructions abandoned on budget blowout. *)
   ineligible : int;  (** factor pairs {!fuse} refused outright. *)
-  cache_hits : int;  (** {!fuse} answers served from the memo. *)
 }
 
 val stats : unit -> stats
-(** Snapshot of the counters (reported by the F1 bench). *)
+(** Snapshot of the counters (reported by the F1 bench).  The memo's
+    hits and misses are the ["product"] entry of
+    {!Strdb_util.Memo.registered}. *)
 
 val reset_stats : unit -> unit
 (** Zero the counters. *)
@@ -96,9 +98,11 @@ val product_seq : Fsa.t * frame -> Fsa.t * frame -> (Fsa.t * frame) option
 
 val fuse : Fsa.t * frame -> Fsa.t * frame -> (Fsa.t * frame) option
 (** The memoized dispatcher used by the evaluator: [None] when fusion
-    is disabled or both constructions decline; otherwise the product,
-    run through [Optimize.optimized] when the optimizer is enabled.
-    Memoized on ([==] of factor automata, [=] of frames). *)
+    is disabled or both constructions decline; otherwise the product of
+    the optimized factors, run through [Optimize.optimized].  Memoized
+    in the ["product"] {!Strdb_util.Memo} (128 entries) on ([==] of
+    factor automata, [=] of frames). *)
 
 val clear_cache : unit -> unit
-(** Drop the {!fuse} memo (benchmarks isolating cold costs). *)
+(** Drop the {!fuse} memo and zero its counters (benchmarks isolating
+    cold costs). *)

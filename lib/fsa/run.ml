@@ -80,27 +80,38 @@ let accepts_dfs a ws = search ~order:`Dfs a ws
    are the naive reference baseline and must stay fully untouched. *)
 let optimize a = if Runtime.enabled () then Optimize.optimized a else a
 
-(* [decide a' ws] for [a' = optimize a] and input checked against [a]. *)
-let decide a' ws =
-  match Runtime.try_accepts a' ws with
-  | Some b -> b
-  | None -> accepts_naive a' ws
+(* What a row needs, resolved once: the automaton the input is checked
+   against and, with the runtime on, its optimized form with that
+   form's dispatch index.  The two memo lookups happen here, so a
+   per-row loop takes none. *)
+type prepared = { fsa : Fsa.t; fast : (Fsa.t * Runtime.t) option }
 
-let accepts a ws =
-  check_input a ws;
-  decide (optimize a) ws
+let prepare a =
+  let fast =
+    if Runtime.enabled () then
+      let a' = Optimize.optimized a in
+      Some (a', Runtime.index a')
+    else None
+  in
+  { fsa = a; fast }
+
+let accepts_prepared p ws =
+  check_input p.fsa ws;
+  match p.fast with
+  | Some (a', rt) when Runtime.enabled () -> (
+      match Runtime.accepts_indexed rt ws with
+      | Some b -> b
+      | None -> accepts_naive a' ws)
+  | _ -> accepts_naive p.fsa ws
+
+let accepts a ws = accepts_prepared (prepare a) ws
 
 (* Batch acceptance over one FSA: the σ_A filter shape of the query
-   pipeline.  The optimized automaton is looked up once per batch, not
-   per row.  The per-tuple searches are independent and the runtime's
-   caches are domain-safe, so the batch spreads over the pool. *)
+   pipeline.  The per-tuple searches are independent and share only
+   the prepared automaton, so the batch spreads over the pool. *)
 let accepts_batch ?(pool = Strdb_util.Pool.sequential) a tuples =
-  let a' = optimize a in
-  Strdb_util.Pool.map_array pool
-    (fun ws ->
-      check_input a ws;
-      decide a' ws)
-    (Array.of_list tuples)
+  let p = prepare a in
+  Strdb_util.Pool.map_array pool (accepts_prepared p) (Array.of_list tuples)
 
 let accepting_trace (a : Fsa.t) ws0 =
   check_input a ws0;

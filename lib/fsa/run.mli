@@ -34,8 +34,25 @@ val accepts_batch :
 (** [accepts_batch ~pool a tuples] is [accepts a] over every tuple, the
     per-tuple searches spread across [pool] (default: sequential).  This
     is the σ_A filter shape of the query pipeline: one shared compiled
-    FSA, many independent rows.
+    FSA, many independent rows, one {!prepare} for the batch.
     @raise Invalid_argument as {!accepts}, re-raised on the caller. *)
+
+val optimize : Fsa.t -> Fsa.t
+(** The automaton acceptance actually runs: {!Optimize.optimized} while
+    the {!Runtime} is enabled, the automaton itself otherwise. *)
+
+type prepared
+(** An automaton resolved for repeated acceptance: with the {!Runtime}
+    enabled, its optimized form and that form's dispatch index. *)
+
+val prepare : Fsa.t -> prepared
+(** Resolve an automaton once, looking up the optimize and index memos;
+    {!accepts_prepared} then takes no memo lookup per row. *)
+
+val accepts_prepared : prepared -> string list -> bool
+(** [accepts a] on a prepared automaton: the input is still checked on
+    every call, and disabling the {!Runtime} afterwards still selects
+    the naive search. *)
 
 val accepts_naive : Fsa.t -> string list -> bool
 (** The reference decision procedure: breadth-first search with

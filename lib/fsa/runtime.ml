@@ -1,4 +1,5 @@
 module A = Strdb_util.Alphabet
+module Memo = Strdb_util.Memo
 
 (* ------------------------------------------------------------------ *)
 (* Global fast-path toggle.  The naive reference implementations stay
@@ -192,107 +193,29 @@ let transition rt i = rt.fsa.Fsa.transitions.(i)
 let outgoing rt q = rt.outgoing.(q)
 
 (* ------------------------------------------------------------------ *)
-(* Index cache: keyed on the FSA's physical identity, bounded,
-   move-to-front.  Compile's memoization returns physically equal FSAs
-   for repeated formulae, so the two caches compose: re-running a query
-   re-uses both the automaton and its dispatch index.
+(* Index memo, keyed on the FSA's physical identity.  Compile's memo
+   returns physically equal FSAs for repeated formulae, so the two
+   compose: re-running a query re-uses both the automaton and its
+   dispatch index.  The bound matches the compile memo's: the index
+   working set is at most one index per live compiled FSA, since
+   specialised automata keep private indexes in Generate's memo. *)
 
-   The cache is an immutable list behind an [Atomic.t], so lookups are
-   lock-free from any domain; move-to-front and insertion go through
-   compare-and-set.  MTF is only a heuristic, so a lost CAS race is
-   simply skipped; insertion retries, and when two domains build the
-   same index concurrently the first inserted one wins, keeping
-   the per-FSA index unique from then on. *)
+let cache : (Fsa.t, t) Memo.t =
+  Memo.create ~name:"index" ~bound:256 ~hash:Fsa.size_hash ~equal:( == ) ()
 
-let cache : (Fsa.t * t) list Atomic.t = Atomic.make []
+type stats = Memo.stats = { hits : int; misses : int; evictions : int; entries : int; bound : int }
 
-(* The bound defaults to the compile memo's size (the index working set
-   is at most one index per live compiled FSA now that specialised
-   automata keep private, uncached indices in Generate's memo) and is
-   configurable through STRDB_INDEX_CACHE for unusual workloads. *)
-let default_cache_limit = 256
-
-let cache_limit =
-  Atomic.make
-    (match Sys.getenv_opt "STRDB_INDEX_CACHE" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> n
-        | _ -> default_cache_limit)
-    | None -> default_cache_limit)
-
-let set_cache_limit n = Atomic.set cache_limit (max 1 n)
-let get_cache_limit () = Atomic.get cache_limit
-
-(* Cache statistics, for the benches' hit-rate reports and to make cache
-   retention visible (a forever-growing miss count on an alphabet-heavy
-   path means nobody calls clear_cache).  [evictions] counts entries
-   dropped off the bounded tail, not clear_cache resets. *)
-type stats = { hits : int; misses : int; evictions : int; entries : int }
-
-let hits = Atomic.make 0
-let misses = Atomic.make 0
-let evictions = Atomic.make 0
-
-let stats () =
-  {
-    hits = Atomic.get hits;
-    misses = Atomic.get misses;
-    evictions = Atomic.get evictions;
-    entries = List.length (Atomic.get cache);
-  }
-
-let reset_stats () =
-  Atomic.set hits 0;
-  Atomic.set misses 0;
-  Atomic.set evictions 0
-
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let rec insert_built (a : Fsa.t) rt =
-  let cur = Atomic.get cache in
-  match List.find_opt (fun (f, _) -> f == a) cur with
-  | Some (_, rt') -> rt' (* another domain won the build race *)
-  | None ->
-      let limit = Atomic.get cache_limit in
-      let dropped = max 0 (List.length cur + 1 - limit) in
-      if Atomic.compare_and_set cache cur (take limit ((a, rt) :: cur))
-      then begin
-        if dropped > 0 then ignore (Atomic.fetch_and_add evictions dropped);
-        rt
-      end
-      else insert_built a rt
-
-let index (a : Fsa.t) =
-  let entries = Atomic.get cache in
-  match entries with
-  | (f, rt) :: _ when f == a ->
-      Atomic.incr hits;
-      rt
-  | _ -> (
-      match List.find_opt (fun (f, _) -> f == a) entries with
-      | Some ((_, rt) as hit) ->
-          Atomic.incr hits;
-          (* Best-effort move-to-front: skip on a lost race. *)
-          ignore
-            (Atomic.compare_and_set cache entries
-               (hit :: List.filter (fun (f, _) -> f != a) entries));
-          rt
-      | None ->
-          Atomic.incr misses;
-          insert_built a (build a))
+let stats () = Memo.stats cache
+let index (a : Fsa.t) = Memo.find_or_add cache a build
 
 (* A private index: built fresh, never inserted into (or counted
-   against) the shared cache.  For automata whose physical identity
+   against) the shared memo.  For automata whose physical identity
    never recurs outside their owner — Generate.outputs keeps one with
    each memoized Lemma 3.1 specialisation; caching those only evicts
    the indices that do recur. *)
 let index_uncached (a : Fsa.t) = build a
 
-let clear_cache () = Atomic.set cache []
+let clear_cache () = Memo.clear cache
 
 (* ------------------------------------------------------------------ *)
 (* Packed configuration keys.  For input lengths n₁..n_k a configuration
@@ -681,15 +604,10 @@ let make_dfa (a : Fsa.t) =
           settled = Array.mapi (fun q row -> Array.for_all (( = ) q) row) d.delta;
         }
 
-(* Do the one-way kernels run for [rt]'s automaton?  Checked at dispatch
-   time, not index-build time, so STRDB_OPT=0 reverts cached indexes to
-   the two-way engine too. *)
-let oneway_kernel rt = rt.oneway && Optimize.enabled ()
-
-(* The DFA of [rt]'s automaton when the DFA kernel applies: one tape and
-   the one-way kernels' gate open. *)
+(* The DFA of [rt]'s automaton when the DFA kernel applies: one tape,
+   one-way. *)
 let dfa_kernel rt =
-  if not (oneway_kernel rt && rt.fsa.Fsa.arity = 1) then None
+  if not (rt.oneway && rt.fsa.Fsa.arity = 1) then None
   else
     let slot =
       match Atomic.get rt.dfa with
@@ -740,21 +658,22 @@ let packed_accepts rt (a : Fsa.t) ws0 =
       in
       Some (twoway_accepts rt a l codes tdelta)
 
+let accepts_indexed rt ws0 =
+  let a = rt.fsa in
+  if not (indexable rt) then None
+  else if rt.oneway then
+    match (dfa_kernel rt, ws0) with
+    | Some d, [ w ] -> Some (dfa_accepts d w)
+    | _ -> (
+        (* A row over the frontier budget runs the packed search,
+           whose cost follows the configurations it reaches. *)
+        match frontier_accepts rt (Array.of_list ws0) with
+        | None -> packed_accepts rt a ws0
+        | decided -> decided)
+  else packed_accepts rt a ws0
+
 let try_accepts (a : Fsa.t) ws0 =
-  if not (enabled ()) then None
-  else
-    let rt = index a in
-    if not (indexable rt) then None
-    else if oneway_kernel rt then
-      match (dfa_kernel rt, ws0) with
-      | Some d, [ w ] -> Some (dfa_accepts d w)
-      | _ -> (
-          (* A row over the frontier budget runs the packed search,
-             whose cost follows the configurations it reaches. *)
-          match frontier_accepts rt (Array.of_list ws0) with
-          | None -> packed_accepts rt a ws0
-          | decided -> decided)
-    else packed_accepts rt a ws0
+  if enabled () then accepts_indexed (index a) ws0 else None
 
 (* Which acceptance kernel [try_accepts] would run for this automaton —
    for Eval.explain and the CLI. *)
@@ -766,4 +685,4 @@ let kernel_name (a : Fsa.t) =
     else
       match dfa_kernel rt with
       | Some d -> Printf.sprintf "one-way DFA, %d states" d.table.num_states
-      | None -> if oneway_kernel rt then "one-way frontier" else "two-way packed"
+      | None -> if rt.oneway then "one-way frontier" else "two-way packed"

@@ -8,7 +8,7 @@
       row scan for one-tape one-way automata, a state-set frontier
       search for other one-way ones, a visited-set search for two-way
       ones;
-    - {b indexed transition dispatch}: per FSA (cached on first use,
+    - {b indexed transition dispatch}: per FSA (memoized on first use,
       keyed on physical identity), a [state × symbol-vector-code ↦
       transitions] table.  Read vectors are concrete, so the enabled set
       is an exact-match lookup instead of a [List.filter] over
@@ -39,43 +39,34 @@ type t
 (** A dispatch index for one FSA. *)
 
 val index : Fsa.t -> t
-(** [index a] is the dispatch index of [a], built on first use and
-    cached (bounded, keyed on physical identity — FSAs are immutable
-    after construction).  Domain-safe: the cache is a lock-free
-    immutable list behind an [Atomic.t]; concurrent lookups never
-    block, and racing builders converge on one shared index. *)
+(** [index a] is the dispatch index of [a], built on first use and kept
+    in the ["index"] {!Strdb_util.Memo} (256 entries, keyed on physical
+    identity — FSAs are immutable after construction).  Domain-safe:
+    racing builders converge on one shared index.  A lookup takes a
+    lock, so batch callers resolve the index once per batch
+    ({!Run.prepare}). *)
 
 val index_uncached : Fsa.t -> t
-(** Build a dispatch index without consulting or populating the cache.
+(** Build a dispatch index without consulting or populating the memo.
     For automata whose identity never recurs outside their owner (the
     per-row specialisations [Generate] memoizes, each with its index)
-    and that would otherwise thrash the bounded cache with always-miss
+    and that would otherwise thrash the bounded memo with always-miss
     insertions. *)
 
 val clear_cache : unit -> unit
-(** Drop all cached indices (benchmark hygiene). *)
+(** Drop all memoized indices and zero the counters (benchmark
+    hygiene). *)
 
-val set_cache_limit : int -> unit
-(** Bound on cached indices (clamped to ≥ 1).  The initial value is
-    [STRDB_INDEX_CACHE] from the environment when it parses as a
-    positive int, else 256 — sized so a query suite's compiled working
-    set fits without evictions. *)
-
-val get_cache_limit : unit -> int
-
-type stats = {
-  hits : int;  (** [index] calls answered from the cache. *)
-  misses : int;  (** [index] calls that built a fresh dispatch index. *)
-  evictions : int;  (** entries dropped off the bounded tail. *)
-  entries : int;  (** live entries right now. *)
+type stats = Strdb_util.Memo.stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  entries : int;
+  bound : int;
 }
-(** Counters over the index cache since start / {!reset_stats}.  The
-    benches report hit rates from these; a miss count that grows with an
-    alphabet-heavy workload is a leak signal (nothing calls
-    {!clear_cache}). *)
 
 val stats : unit -> stats
-val reset_stats : unit -> unit
+(** The index memo's counters since start or {!clear_cache}. *)
 
 val indexable : t -> bool
 (** False when [(|Σ|+2)^arity] overflows the code budget; dispatch and
@@ -152,11 +143,16 @@ val try_accepts : Fsa.t -> string list -> bool option
     - {b two-way packed}: everything else runs the general two-way
       search (Theorem 3.3) with a bitmap or int-set visited set.
 
-    The two one-way kernels run only while {!Optimize.enabled} holds.
     [None] when the runtime is disabled, the FSA is not indexable, or
     the input is not packable (and, if one-way, over the frontier
     budget); the caller then uses the naive search.  Assumes the input
-    was validated ([Run.accepts] does this). *)
+    was validated ([Run.accepts] does this).  [try_accepts a] is
+    {!accepts_indexed} on [index a]: a memo lookup per call. *)
+
+val accepts_indexed : t -> string list -> bool option
+(** The kernel {!try_accepts} dispatches to, on an index already
+    resolved: what a batch runs per row, after one {!index} lookup per
+    batch.  Does not consult {!enabled}. *)
 
 val kernel_name : Fsa.t -> string
 (** Which acceptance kernel {!try_accepts} would run for this automaton:

@@ -3,6 +3,7 @@ module A = Strdb_util.Alphabet
 module Plan = Strdb_algebra.Plan
 module Eval = Strdb_algebra.Eval
 module Store = Strdb_store.Store
+module Memo = Strdb_util.Memo
 
 (* The cache key: everything [Eval.prepare] reads that can differ
    between two requests against one server.  The alphabet is keyed by
@@ -23,98 +24,25 @@ let key ~sigma ?store ~free phi =
     store = (match store with None -> -1 | Some st -> Store.id st);
   }
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  entries : int;
-  bound : int;
-}
+type stats = Memo.stats = { hits : int; misses : int; evictions : int; entries : int; bound : int }
 
-(* Mutex-guarded LRU: lookups and insertions both touch the recency
-   tick, and sessions on distinct worker domains share one cache.  The
-   bound is small (default 128), so eviction scans the table for the
-   stalest entry instead of maintaining an intrusive list. *)
-type t = {
-  mu : Mutex.t;
-  tbl : (key, Plan.t * int ref) Hashtbl.t;
-  bound : int;
-  mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
-
-let default_bound () =
-  match Option.bind (Sys.getenv_opt "STRDB_PLAN_CACHE") int_of_string_opt with
-  | Some n when n >= 0 -> n
-  | _ -> 128
+(* One memo per server, shared by its session workers; not registered,
+   because STATS reports it under its own keys. *)
+type t = (key, Plan.t) Memo.t
 
 let create ?bound () =
-  let bound = match bound with Some b -> max 0 b | None -> default_bound () in
-  {
-    mu = Mutex.create ();
-    tbl = Hashtbl.create (max 16 bound);
-    bound;
-    tick = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-  }
+  Memo.create
+    ~bound:
+      (match bound with
+      | Some b -> b
+      | None -> Strdb_util.Knob.int "STRDB_PLAN_CACHE" ~default:128 ~off:0)
+    ~hash:Hashtbl.hash
+    ~equal:(fun a b -> compare a b = 0)
+    ()
 
-let bound t = t.bound
-
-let find t k =
-  Mutex.protect t.mu (fun () ->
-      match Hashtbl.find_opt t.tbl k with
-      | Some (p, tick) ->
-          t.tick <- t.tick + 1;
-          tick := t.tick;
-          t.hits <- t.hits + 1;
-          Some p
-      | None ->
-          t.misses <- t.misses + 1;
-          None)
-
-let add t k p =
-  if t.bound > 0 then
-    Mutex.protect t.mu (fun () ->
-        if (not (Hashtbl.mem t.tbl k)) && Hashtbl.length t.tbl >= t.bound
-        then begin
-          let victim =
-            Hashtbl.fold
-              (fun k (_, tick) acc ->
-                match acc with
-                | Some (_, best) when best <= !tick -> acc
-                | _ -> Some (k, !tick))
-              t.tbl None
-          in
-          match victim with
-          | Some (k, _) ->
-              Hashtbl.remove t.tbl k;
-              t.evictions <- t.evictions + 1
-          | None -> ()
-        end;
-        t.tick <- t.tick + 1;
-        Hashtbl.replace t.tbl k (p, ref t.tick))
-
-let stats t =
-  Mutex.protect t.mu (fun () ->
-      {
-        hits = t.hits;
-        misses = t.misses;
-        evictions = t.evictions;
-        entries = Hashtbl.length t.tbl;
-        bound = t.bound;
-      })
-
-let clear t =
-  Mutex.protect t.mu (fun () ->
-      Hashtbl.reset t.tbl;
-      t.tick <- 0;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0)
+let find = Memo.find
+let add t k p = ignore (Memo.add t k p)
+let stats = Memo.stats
 
 (* A disabled cache (bound 0) still counts misses, so benches can
    report cold-path traffic through the same telemetry. *)

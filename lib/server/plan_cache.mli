@@ -3,9 +3,10 @@
     Planning a query — shape analysis, limitation certification,
     necessary-factor extraction, index probes — costs more than
     executing it on typical stores; a server answering a repeated query
-    mix should pay it once.  This is a mutex-guarded LRU from
-    {e (alphabet, formula, free list, store identity)} to prepared
-    {!Strdb_algebra.Plan.t} values, shared by every session worker.
+    mix should pay it once.  This is a {!Strdb_util.Memo} (a
+    mutex-guarded LRU) from {e (alphabet, formula, free list, store
+    identity)} to prepared {!Strdb_algebra.Plan.t} values, shared by
+    every session worker.
 
     The store component is {!Strdb_store.Store.id}, a process-unique
     stamp: a plan prepared against a store embeds that store's pruned
@@ -25,19 +26,18 @@ val key :
   Strdb_calculus.Formula.t ->
   key
 
-val default_bound : unit -> int
-(** [STRDB_PLAN_CACHE] from the environment when it parses as a
-    non-negative int, else 128.  0 disables caching. *)
-
 val create : ?bound:int -> unit -> t
-(** An empty cache holding at most [bound] plans (default
-    {!default_bound}).  Bound 0 never retains anything — every lookup
-    is a miss, so the server's cold path is the only path. *)
-
-val bound : t -> int
+(** An empty cache holding at most [bound] plans.  The default is
+    [STRDB_PLAN_CACHE] from the environment when it parses as a
+    non-negative int, 0 for an off spelling ({!Strdb_util.Knob}), else
+    128.  Bound 0 never retains anything — every lookup is a miss, so
+    the server's cold path is the only path. *)
 
 val find : t -> key -> Strdb_algebra.Plan.t option
+(** Counts a hit or a miss. *)
+
 val add : t -> key -> Strdb_algebra.Plan.t -> unit
+(** Retain a plan unless one is already cached under the key. *)
 
 val prepare :
   t ->
@@ -54,7 +54,7 @@ val prepare :
     exactly one, and this guard keeps the helper honest when a caller
     does not. *)
 
-type stats = {
+type stats = Strdb_util.Memo.stats = {
   hits : int;
   misses : int;
   evictions : int;
@@ -63,4 +63,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val clear : t -> unit

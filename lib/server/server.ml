@@ -152,20 +152,29 @@ let answer srv req =
   | Stats ->
       let s = Plan_cache.stats srv.cache in
       let accepted, rejected, queries, errors = counters srv in
+      let memo (name, (m : Strdb_util.Memo.stats)) =
+        List.map
+          (fun (field, v) -> (Printf.sprintf "memo_%s_%s" name field, v))
+          [
+            ("hits", m.hits); ("misses", m.misses); ("evictions", m.evictions);
+            ("entries", m.entries);
+          ]
+      in
       Ok
         (List.map
            (fun (k, v) -> Printf.sprintf "%s %d" k v)
-           [
-             ("plan_cache_hits", s.Plan_cache.hits);
-             ("plan_cache_misses", s.Plan_cache.misses);
-             ("plan_cache_evictions", s.Plan_cache.evictions);
-             ("plan_cache_entries", s.Plan_cache.entries);
-             ("plan_cache_bound", s.Plan_cache.bound);
-             ("connections", accepted);
-             ("busy_rejected", rejected);
-             ("queries", queries);
-             ("errors", errors);
-           ])
+           ([
+              ("plan_cache_hits", s.Plan_cache.hits);
+              ("plan_cache_misses", s.Plan_cache.misses);
+              ("plan_cache_evictions", s.Plan_cache.evictions);
+              ("plan_cache_entries", s.Plan_cache.entries);
+              ("plan_cache_bound", s.Plan_cache.bound);
+              ("connections", accepted);
+              ("busy_rejected", rejected);
+              ("queries", queries);
+              ("errors", errors);
+            ]
+           @ List.concat_map memo (Strdb_util.Memo.registered ())))
   | Explain src ->
       with_formula src (fun phi ->
           let free = F.free_vars phi in

@@ -16,7 +16,9 @@
       order (must list exactly the free variables);
     - [EXPLAIN <formula>] — the plan, one step per line;
     - [STATS] — ["key value"] telemetry lines (plan-cache hit/miss/
-      eviction/entry counts, connection/query/error counters);
+      eviction/entry counts, connection/query/error counters, then
+      [memo_<name>_hits], [_misses], [_evictions] and [_entries] for
+      every memo in {!Strdb_util.Memo.registered});
     - [PING] — liveness probe;
     - [QUIT] — close the session.
 

@@ -3,22 +3,9 @@ module Db = Strdb_calculus.Database
 
 (* ------------------------------------------------------------- toggle *)
 
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "STRDB_INDEX" with
-    | Some s -> (
-        match String.lowercase_ascii (String.trim s) with
-        | "0" | "false" | "off" | "no" -> false
-        | _ -> true)
-    | None -> true)
-
+let enabled_flag = Atomic.make (Strdb_util.Knob.flag "STRDB_INDEX" ~default:true)
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
-
-let default_q () =
-  match Option.bind (Sys.getenv_opt "STRDB_QGRAM") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> 3
 
 (* ------------------------------------------------------------- layout *)
 
@@ -133,7 +120,7 @@ let build_col sigma q space shift base rows col =
 let create ?q sigma db =
   Db.check_alphabet sigma db;
   let base = A.size sigma in
-  let q = fit_q base (match q with Some q -> q | None -> default_q ()) in
+  let q = fit_q base (Option.value q ~default:3) in
   let space = pow base q in
   let shift = pow base (q - 1) in
   let rels = Hashtbl.create 8 in

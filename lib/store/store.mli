@@ -30,7 +30,7 @@ type t
 
 val create : ?q:int -> Strdb_util.Alphabet.t -> Strdb_calculus.Database.t -> t
 (** [create ?q sigma db] indexes every relation of [db] on load.  [q]
-    defaults to {!default_q} and is clamped so the dense gram space
+    defaults to 3 and is clamped so the dense gram space
     [|Σ|^q] stays within budget (and to [≥ 1]).  Row ids are positions
     in [Database.find db r]'s canonical order.
     @raise Strdb_util.Alphabet.Invalid_alphabet if a stored string
@@ -110,15 +110,12 @@ val reset_probe_stats : t -> unit
 
 val enabled : unit -> bool
 (** Is index pruning switched on?  Defaults to true; the [STRDB_INDEX]
-    environment variable set to [0]/[false]/[off]/[no] disables it at
-    startup (the planner then scans, exactly the pre-index engine). *)
+    environment variable set to an off spelling ({!Strdb_util.Knob})
+    disables it at startup (the planner then scans, exactly the
+    pre-index engine). *)
 
 val set_enabled : bool -> unit
 (** Flip at runtime (benches measure scan vs probe this way). *)
-
-val default_q : unit -> int
-(** The default gram length: [STRDB_QGRAM] from the environment when it
-    parses as a positive int, else 3. *)
 
 (** {1 Sorted-id plumbing} *)
 

@@ -353,9 +353,4 @@ end
 (* The engine-wide default domain count: the STRDB_DOMAINS environment
    variable when set to a positive int, else 1 (sequential).  This is
    how CI forces the parallel path through the whole test suite. *)
-let default_domains () =
-  match Sys.getenv_opt "STRDB_DOMAINS" with
-  | None -> 1
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> min n max_size
-    | _ -> 1)
+let default_domains () = min max_size (Knob.int "STRDB_DOMAINS" ~default:1 ~off:1)

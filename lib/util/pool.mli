@@ -48,8 +48,9 @@ val get : int -> t
 
 val default_domains : unit -> int
 (** The engine-wide default domain count: [STRDB_DOMAINS] from the
-    environment when it parses as a positive int, else 1.  CI sets it to
-    force the parallel path through the whole test suite. *)
+    environment when it parses as a positive int (read by
+    {!Knob.int}, so an off spelling is 1), else 1.  CI sets it to force
+    the parallel path through the whole test suite. *)
 
 val small_batch_limit : int
 (** Batches of at most this many items run sequentially on the caller no

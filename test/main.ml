@@ -2,7 +2,7 @@
    DESIGN.md's experiment index for which paper artefact each covers. *)
 let () =
   Alcotest.run "strdb"
-    (Test_util.suites @ Test_pool.suites @ Test_automata.suites
+    (Test_util.suites @ Test_memo.suites @ Test_pool.suites @ Test_automata.suites
    @ Test_alignment.suites
    @ Test_fsa.suites @ Test_runtime.suites @ Test_optimize.suites
    @ Test_product.suites

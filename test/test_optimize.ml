@@ -45,34 +45,20 @@ let shape_tests =
         check_int "rr" 1 (Optimize.shape_rank Optimize.Right_restricted);
         check_int "gen" 2 (Optimize.shape_rank Optimize.General));
     tc "kernel dispatch follows the shape" (fun () ->
-        let was = Optimize.enabled () in
-        Optimize.set_enabled true;
+        let eq = Optimize.run (compile2 (Combinators.equal_s "x" "y")) in
+        check_string "one-way kernel" "one-way frontier" (Runtime.kernel_name eq);
+        let lit =
+          Optimize.run (Compile.compile b ~vars:[ "x" ] (Combinators.literal "x" "ab"))
+        in
+        check_string "one-tape one-way kernel" "one-way DFA, 4 states"
+          (Runtime.kernel_name lit);
+        let mf = Optimize.run (compile2 (Combinators.manifold "x" "y")) in
+        check_string "two-way kernel" "two-way packed" (Runtime.kernel_name mf);
+        Runtime.set_enabled false;
         Fun.protect
-          ~finally:(fun () -> Optimize.set_enabled was)
+          ~finally:(fun () -> Runtime.set_enabled true)
           (fun () ->
-            let eq = Optimize.run (compile2 (Combinators.equal_s "x" "y")) in
-            check_string "one-way kernel" "one-way frontier"
-              (Runtime.kernel_name eq);
-            let lit =
-              Optimize.run (Compile.compile b ~vars:[ "x" ] (Combinators.literal "x" "ab"))
-            in
-            check_string "one-tape one-way kernel" "one-way DFA, 4 states"
-              (Runtime.kernel_name lit);
-            let mf = Optimize.run (compile2 (Combinators.manifold "x" "y")) in
-            check_string "two-way kernel" "two-way packed"
-              (Runtime.kernel_name mf);
-            Optimize.set_enabled false;
-            check_string "opt disabled reverts to two-way" "two-way packed"
-              (Runtime.kernel_name eq);
-            check_string "opt disabled: one tape too" "two-way packed"
-              (Runtime.kernel_name lit);
-            Optimize.set_enabled true;
-            Runtime.set_enabled false;
-            Fun.protect
-              ~finally:(fun () -> Runtime.set_enabled true)
-              (fun () ->
-                check_string "disabled runtime" "naive search"
-                  (Runtime.kernel_name eq))));
+            check_string "disabled runtime" "naive search" (Runtime.kernel_name eq)));
   ]
 
 (* ----------------------------------------------------------- rewrites *)
@@ -144,13 +130,6 @@ let rewrite_tests =
         (* an already-optimal automaton must come back physically intact *)
         let o3 = Optimize.optimized o1 in
         check_bool "fixpoint keeps identity" true (o3 == o1));
-    tc "disabled pass is the identity" (fun () ->
-        Optimize.set_enabled false;
-        Fun.protect
-          ~finally:(fun () -> Optimize.set_enabled true)
-          (fun () ->
-            let a = compile2 (Combinators.manifold "x" "y") in
-            check_bool "identity" true (Optimize.optimized a == a)));
   ]
 
 (* ------------------------------------------------------------- qcheck *)
@@ -158,7 +137,7 @@ let rewrite_tests =
 (* The headline equivalence property, random compiled string formulae:
    [Optimize.run] preserves acceptance through both the naive reference
    and the shape-dispatched runtime kernels, with and without Lemma 3.1
-   specialisation, under both STRDB_OPT settings. *)
+   specialisation. *)
 let qcheck_tests =
   let prop = Test_qcheck.prop in
   let arb_sformula = Test_qcheck.arb_sformula in
@@ -178,17 +157,6 @@ let qcheck_tests =
         let o = Optimize.run spec in
         let want = Run.accepts_naive spec [ v ] in
         Run.accepts_naive o [ v ] = want && Run.accepts o [ v ] = want);
-    prop ~count:80 "acceptance agrees under both STRDB_OPT settings"
-      (QCheck.pair (arb_sformula [ "x"; "y" ]) arb_string_pair)
-      (fun (phi, (u, v)) ->
-        let a = compile2 phi in
-        Optimize.set_enabled false;
-        let off =
-          Fun.protect
-            ~finally:(fun () -> Optimize.set_enabled true)
-            (fun () -> Run.accepts a [ u; v ])
-        in
-        Run.accepts a [ u; v ] = off);
     prop ~count:60 "enumerator agrees through the optimize pass"
       (arb_sformula [ "x"; "y" ])
       (fun phi ->

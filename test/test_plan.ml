@@ -148,35 +148,26 @@ let limitation_memo_tests =
         let clone = clone_fsa fsa in
         check_bool "clone is structurally equal" true (clone = fsa);
         check_bool "clone is physically distinct" false (clone == fsa);
-        if Optimize.enabled () then begin
-          Limitation.clear_cache ();
-          let v1 = Limitation.analyze fsa ~inputs:[ 0 ] ~outputs:[ 1 ] in
-          let s1 = Limitation.cache_stats () in
-          check_int "first analysis misses" 1 s1.Limitation.misses;
-          check_int "first analysis cannot hit" 0 s1.Limitation.hits;
-          let v2 = Limitation.analyze fsa ~inputs:[ 0 ] ~outputs:[ 1 ] in
-          let s2 = Limitation.cache_stats () in
-          check_int "same automaton hits" 1 s2.Limitation.hits;
-          check_int "same automaton adds no miss" 1 s2.Limitation.misses;
-          let v3 = Limitation.analyze clone ~inputs:[ 0 ] ~outputs:[ 1 ] in
-          let s3 = Limitation.cache_stats () in
-          check_int "structural clone is a fresh miss" 2 s3.Limitation.misses;
-          check_int "structural clone does not hit" 1 s3.Limitation.hits;
-          check_int "two entries live" 2 s3.Limitation.entries;
-          check_bool "verdicts agree across the memo" true
-            (v1 = v2 && (match (v1, v3) with
-                        | Ok (Limitation.Limited _), Ok (Limitation.Limited _)
-                        | Ok (Limitation.Unlimited _), Ok (Limitation.Unlimited _)
-                        | Error _, Error _ -> true
-                        | _ -> false))
-        end
-        else
-          (* STRDB_OPT=0 battery: the memo is bypassed entirely; the
-             physical-identity claim is vacuous but analysis must still
-             agree between original and clone. *)
-          check_bool "clone analysis agrees" true
-            (Limitation.limits fsa ~inputs:[ 0 ] ~outputs:[ 1 ]
-            = Limitation.limits clone ~inputs:[ 0 ] ~outputs:[ 1 ]));
+        Limitation.clear_cache ();
+        let v1 = Limitation.analyze fsa ~inputs:[ 0 ] ~outputs:[ 1 ] in
+        let s1 = Limitation.cache_stats () in
+        check_int "first analysis misses" 1 s1.Limitation.misses;
+        check_int "first analysis cannot hit" 0 s1.Limitation.hits;
+        let v2 = Limitation.analyze fsa ~inputs:[ 0 ] ~outputs:[ 1 ] in
+        let s2 = Limitation.cache_stats () in
+        check_int "same automaton hits" 1 s2.Limitation.hits;
+        check_int "same automaton adds no miss" 1 s2.Limitation.misses;
+        let v3 = Limitation.analyze clone ~inputs:[ 0 ] ~outputs:[ 1 ] in
+        let s3 = Limitation.cache_stats () in
+        check_int "structural clone is a fresh miss" 2 s3.Limitation.misses;
+        check_int "structural clone does not hit" 1 s3.Limitation.hits;
+        check_int "two entries live" 2 s3.Limitation.entries;
+        check_bool "verdicts agree across the memo" true
+          (v1 = v2 && (match (v1, v3) with
+                      | Ok (Limitation.Limited _), Ok (Limitation.Limited _)
+                      | Ok (Limitation.Unlimited _), Ok (Limitation.Unlimited _)
+                      | Error _, Error _ -> true
+                      | _ -> false)));
   ]
 
 (* Satellite regression: [dedup_rows] on wide rows whose first columns

@@ -1,7 +1,7 @@
 (* Conjunct fusion: the merged-frame product constructions (sync window
    product + sequential composition), their acceptance law
      accepts (a × b) t  ⇔  accepts a t|_A ∧ accepts b t|_B,
-   the STRDB_FUSE / STRDB_PRODUCT_STATES toggles, and the fused
+   the STRDB_FUSE toggle and the state budget, and the fused
    evaluator paths (σ-fusion of filters, selection pushdown into
    certified generators). *)
 open Strdb

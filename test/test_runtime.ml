@@ -146,13 +146,6 @@ let kth_from_end k =
     (Regex_embed.matches "x"
        (Regex.parse ("(a+b)*a" ^ String.concat "" (List.init k (fun _ -> "(a+b)")))))
 
-(* The kernel runs on what Run.accepts runs: the optimized automaton,
-   with the optimizer (the frontier kernel's gate) switched on. *)
-let with_optimizer f =
-  let was = Optimize.enabled () in
-  Optimize.set_enabled true;
-  Fun.protect ~finally:(fun () -> Optimize.set_enabled was) f
-
 let agrees_naive fsa words =
   List.iter
     (fun w ->
@@ -162,32 +155,29 @@ let agrees_naive fsa words =
 let dfa_tests =
   [
     tc "one-tape one-way automata run the DFA kernel" (fun () ->
-        with_optimizer (fun () ->
-            let fsa = kth_from_end 3 in
-            check_string "kernel" "one-way DFA, 16 states"
-              (Runtime.kernel_name (Optimize.optimized fsa));
-            agrees_naive fsa (Strutil.all_strings_upto b 7)));
+        let fsa = kth_from_end 3 in
+        check_string "kernel" "one-way DFA, 16 states"
+          (Runtime.kernel_name (Optimize.optimized fsa));
+        agrees_naive fsa (Strutil.all_strings_upto b 7));
     tc "past the state budget the frontier kernel keeps the automaton" (fun () ->
-        with_optimizer (fun () ->
-            let fsa = kth_from_end 10 in
-            check_string "kernel" "one-way frontier"
-              (Runtime.kernel_name (Optimize.optimized fsa));
-            let g = Prng.create 61 in
-            agrees_naive fsa ("" :: List.init 300 (fun _ -> Prng.string_upto g b 16))));
+        let fsa = kth_from_end 10 in
+        check_string "kernel" "one-way frontier"
+          (Runtime.kernel_name (Optimize.optimized fsa));
+        let g = Prng.create 61 in
+        agrees_naive fsa ("" :: List.init 300 (fun _ -> Prng.string_upto g b 16)));
     tc "racing first builds converge on one DFA" (fun () ->
-        with_optimizer (fun () ->
-            let fsa = kth_from_end 4 in
-            Runtime.clear_cache ();
-            let g = Prng.create 67 in
-            let tuples = List.init 400 (fun _ -> [ Prng.string_upto g b 12 ]) in
-            let parallel = Run.accepts_batch ~pool:(Pool.get 4) fsa tuples in
-            check_bool "parallel ≡ naive" true
-              (Array.to_list parallel = List.map (Run.accepts_naive fsa) tuples);
-            check_bool "parallel ≡ sequential" true
-              (parallel = Run.accepts_batch fsa tuples);
-            check_bool "the DFA is kept" true
-              (String.starts_with ~prefix:"one-way DFA"
-                 (Runtime.kernel_name (Optimize.optimized fsa)))));
+        let fsa = kth_from_end 4 in
+        Runtime.clear_cache ();
+        let g = Prng.create 67 in
+        let tuples = List.init 400 (fun _ -> [ Prng.string_upto g b 12 ]) in
+        let parallel = Run.accepts_batch ~pool:(Pool.get 4) fsa tuples in
+        check_bool "parallel ≡ naive" true
+          (Array.to_list parallel = List.map (Run.accepts_naive fsa) tuples);
+        check_bool "parallel ≡ sequential" true
+          (parallel = Run.accepts_batch fsa tuples);
+        check_bool "the DFA is kept" true
+          (String.starts_with ~prefix:"one-way DFA"
+             (Runtime.kernel_name (Optimize.optimized fsa))));
   ]
 
 (* ------------------------------------------------------- frontier kernel *)
@@ -197,104 +187,99 @@ let dfa_tests =
 let frontier_tests =
   [
     tc "state sets wider than one word: edit distance ≤ 2" (fun () ->
-        with_optimizer (fun () ->
-            let fsa =
-              Compile.compile dna ~vars:[ "u"; "v" ] (Combinators.edit_distance_le "u" "v" 2)
-            in
-            let o = Optimize.optimized fsa in
-            check_bool "more states than one 63-bit word" true (o.Fsa.num_states > 63);
-            check_string "kernel" "one-way frontier" (Runtime.kernel_name o);
-            let g = Prng.create 71 in
-            for i = 0 to 299 do
-              let u = Prng.string g dna (i mod 11) in
-              let v =
-                if i mod 3 = 0 then Prng.string_upto g dna 12
-                else Workload.mutate g dna ~edits:(i mod 5) u
-              in
-              check_bool
-                (Printf.sprintf "(%S, %S)" u v)
-                (Edit_distance.within u v 2)
-                (Run.accepts fsa [ u; v ])
-            done));
+        let fsa =
+          Compile.compile dna ~vars:[ "u"; "v" ] (Combinators.edit_distance_le "u" "v" 2)
+        in
+        let o = Optimize.optimized fsa in
+        check_bool "more states than one 63-bit word" true (o.Fsa.num_states > 63);
+        check_string "kernel" "one-way frontier" (Runtime.kernel_name o);
+        let g = Prng.create 71 in
+        for i = 0 to 299 do
+          let u = Prng.string g dna (i mod 11) in
+          let v =
+            if i mod 3 = 0 then Prng.string_upto g dna 12
+            else Workload.mutate g dna ~edits:(i mod 5) u
+          in
+          check_bool
+            (Printf.sprintf "(%S, %S)" u v)
+            (Edit_distance.within u v 2)
+            (Run.accepts fsa [ u; v ])
+        done);
     tc "three tapes: concat3 ≡ string concatenation" (fun () ->
-        with_optimizer (fun () ->
-            let fsa =
-              Compile.compile dna ~vars:[ "x"; "y"; "z" ] (Combinators.concat3 "x" "y" "z")
-            in
-            check_string "kernel" "one-way frontier"
-              (Runtime.kernel_name (Optimize.optimized fsa));
-            let g = Prng.create 73 in
-            for i = 0 to 299 do
-              let y = Prng.string_upto g dna 6 and z = Prng.string_upto g dna 6 in
-              let x =
-                match i mod 4 with
-                | 0 | 1 -> y ^ z
-                | 2 -> Prng.string_upto g dna 13
-                | _ -> Prng.string_upto g dna 3
-              in
-              check_bool
-                (Printf.sprintf "(%S, %S, %S)" x y z)
-                (x = y ^ z)
-                (Run.accepts fsa [ x; y; z ])
-            done));
+        let fsa =
+          Compile.compile dna ~vars:[ "x"; "y"; "z" ] (Combinators.concat3 "x" "y" "z")
+        in
+        check_string "kernel" "one-way frontier"
+          (Runtime.kernel_name (Optimize.optimized fsa));
+        let g = Prng.create 73 in
+        for i = 0 to 299 do
+          let y = Prng.string_upto g dna 6 and z = Prng.string_upto g dna 6 in
+          let x =
+            match i mod 4 with
+            | 0 | 1 -> y ^ z
+            | 2 -> Prng.string_upto g dna 13
+            | _ -> Prng.string_upto g dna 3
+          in
+          check_bool
+            (Printf.sprintf "(%S, %S, %S)" x y z)
+            (x = y ^ z)
+            (Run.accepts fsa [ x; y; z ])
+        done);
     tc "sparse dispatch: four tapes over 36 letters" (fun () ->
-        with_optimizer (fun () ->
-            (* t0 = t1·t2 with t3 = t0, built by hand: 38⁴ symbol vectors
-               put the dispatch table over the dense budget, and the
-               moves advance four different sets of tapes. *)
-            let sigma = Alphabet.of_string "abcdefghijklmnopqrstuvwxyz0123456789" in
-            let l = Symbol.Lend and r = Symbol.Rend and c ch = Symbol.Chr ch in
-            let tr src read dst moves = Fsa.transition ~src ~read ~dst ~moves in
-            let per_char f = List.map f (Alphabet.chars sigma) in
-            let fsa =
-              Fsa.make ~sigma ~arity:4 ~num_states:4 ~start:0 ~finals:[ 3 ]
-                ~transitions:
-                  ((tr 0 [ l; l; l; l ] 1 [ 1; 1; 0; 1 ]
-                   :: tr 1 [ r; r; l; r ] 2 [ 0; 0; 1; 0 ]
-                   :: tr 2 [ r; r; r; r ] 3 [ 0; 0; 0; 0 ]
-                   :: per_char (fun ch -> tr 1 [ c ch; c ch; l; c ch ] 1 [ 1; 1; 0; 1 ]))
-                  @ per_char (fun ch -> tr 1 [ c ch; r; l; c ch ] 2 [ 0; 0; 1; 0 ])
-                  @ per_char (fun ch -> tr 2 [ c ch; r; c ch; c ch ] 2 [ 1; 0; 1; 1 ]))
-            in
-            check_string "kernel" "one-way frontier"
-              (Runtime.kernel_name (Optimize.optimized fsa));
-            let g = Prng.create 83 in
-            for i = 0 to 199 do
-              let y = Prng.string_upto g sigma 5 and z = Prng.string_upto g sigma 5 in
-              let x = if i mod 3 = 0 then Prng.string_upto g sigma 10 else y ^ z in
-              let w = if i mod 4 = 0 then Prng.string_upto g sigma 10 else x in
-              let tup = [ x; y; z; w ] in
-              check_bool (String.concat "," tup) (x = y ^ z && w = x) (Run.accepts fsa tup);
-              check_bool "≡ naive" (Run.accepts_naive fsa tup) (Run.accepts fsa tup)
-            done));
+        (* t0 = t1·t2 with t3 = t0, built by hand: 38⁴ symbol vectors
+           put the dispatch table over the dense budget, and the
+           moves advance four different sets of tapes. *)
+        let sigma = Alphabet.of_string "abcdefghijklmnopqrstuvwxyz0123456789" in
+        let l = Symbol.Lend and r = Symbol.Rend and c ch = Symbol.Chr ch in
+        let tr src read dst moves = Fsa.transition ~src ~read ~dst ~moves in
+        let per_char f = List.map f (Alphabet.chars sigma) in
+        let fsa =
+          Fsa.make ~sigma ~arity:4 ~num_states:4 ~start:0 ~finals:[ 3 ]
+            ~transitions:
+              ((tr 0 [ l; l; l; l ] 1 [ 1; 1; 0; 1 ]
+               :: tr 1 [ r; r; l; r ] 2 [ 0; 0; 1; 0 ]
+               :: tr 2 [ r; r; r; r ] 3 [ 0; 0; 0; 0 ]
+               :: per_char (fun ch -> tr 1 [ c ch; c ch; l; c ch ] 1 [ 1; 1; 0; 1 ]))
+              @ per_char (fun ch -> tr 1 [ c ch; r; l; c ch ] 2 [ 0; 0; 1; 0 ])
+              @ per_char (fun ch -> tr 2 [ c ch; r; c ch; c ch ] 2 [ 1; 0; 1; 1 ]))
+        in
+        check_string "kernel" "one-way frontier"
+          (Runtime.kernel_name (Optimize.optimized fsa));
+        let g = Prng.create 83 in
+        for i = 0 to 199 do
+          let y = Prng.string_upto g sigma 5 and z = Prng.string_upto g sigma 5 in
+          let x = if i mod 3 = 0 then Prng.string_upto g sigma 10 else y ^ z in
+          let w = if i mod 4 = 0 then Prng.string_upto g sigma 10 else x in
+          let tup = [ x; y; z; w ] in
+          check_bool (String.concat "," tup) (x = y ^ z && w = x) (Run.accepts fsa tup);
+          check_bool "≡ naive" (Run.accepts_naive fsa tup) (Run.accepts fsa tup)
+        done);
     tc "arity 0: acceptance graphs run the kernel" (fun () ->
-        with_optimizer (fun () ->
-            let fsa = Compile.compile b ~vars:[ "x"; "y" ] (Combinators.occurs_in "x" "y") in
-            List.iter
-              (fun tup ->
-                let g = Specialize.acceptance_graph fsa tup in
-                let want = Run.accepts_naive fsa tup in
-                check_bool "the kernel decides" true
-                  (Runtime.try_accepts (Optimize.optimized g) [] = Some want);
-                check_bool (String.concat "," tup) want (Run.accepts g []))
-              (all_tuples b ~arity:2 ~max_len:3)));
+        let fsa = Compile.compile b ~vars:[ "x"; "y" ] (Combinators.occurs_in "x" "y") in
+        List.iter
+          (fun tup ->
+            let g = Specialize.acceptance_graph fsa tup in
+            let want = Run.accepts_naive fsa tup in
+            check_bool "the kernel decides" true
+              (Runtime.try_accepts (Optimize.optimized g) [] = Some want);
+            check_bool (String.concat "," tup) want (Run.accepts g []))
+          (all_tuples b ~arity:2 ~max_len:3));
     tc "over the scratch budget the packed search decides" (fun () ->
-        with_optimizer (fun () ->
-            let fsa =
-              Compile.compile dna ~vars:[ "x"; "y"; "z" ] (Combinators.concat3 "x" "y" "z")
-            in
-            let o = Optimize.optimized fsa in
-            let g = Prng.create 79 in
-            (* 4 levels × 602² cells × 2 words exceeds 2²⁰ words, so the
-               frontier kernel declines and the packed search decides. *)
-            let y = Prng.string g dna 600 and z = Prng.string g dna 600 in
-            List.iter
-              (fun x ->
-                let tup = [ x; y; z ] in
-                check_bool "decided" true (Runtime.try_accepts o tup = Some (x = y ^ z));
-                check_bool "answer" (x = y ^ z) (Run.accepts fsa tup);
-                check_bool "≡ naive" (Run.accepts_naive fsa tup) (Run.accepts fsa tup))
-              [ y ^ z; y ^ String.map (fun c -> if c = 'a' then 'c' else 'a') z ]));
+        let fsa =
+          Compile.compile dna ~vars:[ "x"; "y"; "z" ] (Combinators.concat3 "x" "y" "z")
+        in
+        let o = Optimize.optimized fsa in
+        let g = Prng.create 79 in
+        (* 4 levels × 602² cells × 2 words exceeds 2²⁰ words, so the
+           frontier kernel declines and the packed search decides. *)
+        let y = Prng.string g dna 600 and z = Prng.string g dna 600 in
+        List.iter
+          (fun x ->
+            let tup = [ x; y; z ] in
+            check_bool "decided" true (Runtime.try_accepts o tup = Some (x = y ^ z));
+            check_bool "answer" (x = y ^ z) (Run.accepts fsa tup);
+            check_bool "≡ naive" (Run.accepts_naive fsa tup) (Run.accepts fsa tup))
+          [ y ^ z; y ^ String.map (fun c -> if c = 'a' then 'c' else 'a') z ]);
   ]
 
 (* ---------------------------------------------------------- compile cache *)
@@ -344,34 +329,9 @@ let cache_tests =
         let a' = Compile.compile b ~vars:[ "x"; "y" ] phi in
         check_bool "physically identical after the flood" true (a == a');
         check_bool "index cache chain intact" true (Runtime.index a' == idx));
-    tc "LRU memo: eviction drops one cold entry, not the table" (fun () ->
-        Compile.clear_cache ();
-        Compile.set_cache_limit 16;
-        Fun.protect
-          ~finally:(fun () -> Compile.set_cache_limit 256)
-          (fun () ->
-            let phi = Combinators.occurs_in "x" "y" in
-            let hot = Compile.compile b ~vars:[ "x"; "y" ] phi in
-            let stats0 = Compile.stats () in
-            for i = 1 to 40 do
-              ignore
-                (Compile.compile b ~vars:[ "x" ]
-                   (Combinators.literal "x"
-                      (String.init 6 (fun j ->
-                           if i land (1 lsl j) <> 0 then 'a' else 'b'))));
-              (* Touch the hot entry so LRU keeps it while cold ones go. *)
-              if Compile.compile b ~vars:[ "x"; "y" ] phi != hot then
-                Alcotest.failf "hot entry evicted at insertion %d" i
-            done;
-            let stats1 = Compile.stats () in
-            check_bool "evictions happened" true
-              (stats1.Compile.evictions > stats0.Compile.evictions);
-            check_bool "cache stayed bounded" true (stats1.Compile.entries <= 16)));
     tc "cache statistics count hits, misses and entries" (fun () ->
         Compile.clear_cache ();
         Runtime.clear_cache ();
-        Compile.reset_stats ();
-        Runtime.reset_stats ();
         let phi = Combinators.prefix "x" "y" in
         let a = Compile.compile b ~vars:[ "x"; "y" ] phi in
         let cs = Compile.stats () in
@@ -386,16 +346,6 @@ let cache_tests =
         check_bool "index miss then hit" true
           (rs.Runtime.misses >= 1 && rs.Runtime.hits >= 1);
         check_bool "index entries visible" true (rs.Runtime.entries >= 1));
-    tc "index cache limit is configurable" (fun () ->
-        let old = Runtime.get_cache_limit () in
-        Fun.protect
-          ~finally:(fun () -> Runtime.set_cache_limit old)
-          (fun () ->
-            Runtime.set_cache_limit 7;
-            check_int "round trip" 7 (Runtime.get_cache_limit ());
-            Runtime.set_cache_limit 0;
-            check_int "clamped to 1" 1 (Runtime.get_cache_limit ()));
-        check_bool "default sized to the working set" true (old >= 64));
     tc "E1-style suite runs with <1% index-cache eviction rate" (fun () ->
         (* The PR 2 bench measured 89k evictions over a 64-entry bound on
            the E1 sweep: per-row specialized automata (identity-keyed,
@@ -442,7 +392,6 @@ let cache_tests =
         Runtime.clear_cache ();
         Compile.clear_cache ();
         Optimize.clear_cache ();
-        Runtime.reset_stats ();
         List.iter
           (fun (free, phi) ->
             let q = Query.make ~free phi in

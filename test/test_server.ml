@@ -121,6 +121,35 @@ let protocol_tests =
                     let s = Plan_cache.stats (Server.cache srv) in
                     check_int "nothing retained" 0 s.Plan_cache.entries;
                     check_int "no hits possible" 0 s.Plan_cache.hits)));
+    tc "STATS reports every registered memo after the server's own keys"
+      (fun () ->
+        with_server (fun _ socket ->
+            with_client socket (fun c ->
+                ignore (Client.query c qtext);
+                match Client.stats c with
+                | Error e -> Alcotest.fail e
+                | Ok kv ->
+                    let names = List.map fst (Memo.registered ()) in
+                    List.iter
+                      (fun n ->
+                        check_bool (n ^ " is registered") true (List.mem n names))
+                      [ "compile"; "index"; "optimize"; "product"; "limitation"; "generate" ];
+                    List.iter
+                      (fun n ->
+                        List.iter
+                          (fun field ->
+                            let k = Printf.sprintf "memo_%s_%s" n field in
+                            if not (List.mem_assoc k kv) then
+                              Alcotest.failf "STATS missing %s" k)
+                          [ "hits"; "misses"; "evictions"; "entries" ])
+                      names;
+                    check_string_list "the server's keys come first"
+                      [
+                        "plan_cache_hits"; "plan_cache_misses"; "plan_cache_evictions";
+                        "plan_cache_entries"; "plan_cache_bound"; "connections";
+                        "busy_rejected"; "queries"; "errors";
+                      ]
+                      (List.filteri (fun i _ -> i < 9) (List.map fst kv)))));
   ]
 
 let overload_tests =
