@@ -11,6 +11,19 @@ open Bechamel
 module B = Bench_util
 
 let quick = Array.exists (fun a -> a = "quick") Sys.argv
+
+(* Full runs refresh the committed BENCH_*.json at the repository root;
+   quick runs write under _build/bench/, so a smoke run never overwrites
+   a full-mode record. *)
+let json_path file =
+  if not quick then file
+  else begin
+    List.iter
+      (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+      [ "_build"; "_build/bench" ];
+    Filename.concat "_build/bench" file
+  end
+
 let b2 = Alphabet.binary
 let dna = Alphabet.dna
 
@@ -483,7 +496,8 @@ let runtime_bench () =
     (before_total *. 1e3) (after_total *. 1e3)
     (before_total /. after_total);
   (* Emit the JSON record. *)
-  let oc = open_out "BENCH_runtime.json" in
+  let path = json_path "BENCH_runtime.json" in
+  let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"bench\": \"runtime\",\n";
   Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
@@ -523,7 +537,7 @@ let runtime_bench () =
   Printf.fprintf oc "  }\n";
   Printf.fprintf oc "}\n";
   close_out oc;
-  Printf.printf "  wrote BENCH_runtime.json\n%!"
+  Printf.printf "  wrote %s\n%!" path
 
 (* -------------------------------------------------------------------- P1 *)
 
@@ -616,7 +630,8 @@ let parallel_bench () =
     "  headline: 4-domain fast engine vs sequential naive baseline on E1: %.2fx\n%!"
     headline;
   (* Emit the JSON record. *)
-  let oc = open_out "BENCH_parallel.json" in
+  let path = json_path "BENCH_parallel.json" in
+  let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"bench\": \"parallel\",\n";
   Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
@@ -647,7 +662,7 @@ let parallel_bench () =
   Printf.fprintf oc "  }\n";
   Printf.fprintf oc "}\n";
   close_out oc;
-  Printf.printf "  wrote BENCH_parallel.json\n%!"
+  Printf.printf "  wrote %s\n%!" path
 
 (* -------------------------------------------------------------------- F1 *)
 
@@ -748,7 +763,8 @@ let fusion_bench () =
     stats.Product.attempts stats.Product.sync_built stats.Product.seq_built
     stats.Product.budget_fallbacks (Product.state_budget ())
     memo_hits;
-  let oc = open_out "BENCH_fusion.json" in
+  let path = json_path "BENCH_fusion.json" in
+  let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"bench\": \"fusion\",\n";
   Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
@@ -787,7 +803,7 @@ let fusion_bench () =
     memo_hits;
   Printf.fprintf oc "}\n";
   close_out oc;
-  Printf.printf "  wrote BENCH_fusion.json\n%!"
+  Printf.printf "  wrote %s\n%!" path
 
 (* ------------------------------------------------------------------- T51 *)
 
@@ -1055,7 +1071,8 @@ let index_bench () =
       sweep_rates
   in
   (* --- JSON -------------------------------------------------------- *)
-  let oc = open_out "BENCH_index.json" in
+  let path = json_path "BENCH_index.json" in
+  let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"bench\": \"index\",\n";
   Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
@@ -1103,7 +1120,7 @@ let index_bench () =
   Printf.fprintf oc "  ]\n";
   Printf.fprintf oc "}\n";
   close_out oc;
-  Printf.printf "  wrote BENCH_index.json\n%!"
+  Printf.printf "  wrote %s\n%!" path
 
 (* V1 — the query server: cold planning vs cached-plan execution on an
    E1/Q7-style mix, then a load generator driving concurrent client
@@ -1314,7 +1331,8 @@ let serve_bench () =
     Option.map (fun s -> Plan_cache.stats (Server.cache s)) srv
   in
   (* --- JSON -------------------------------------------------------- *)
-  let oc = open_out "BENCH_serve.json" in
+  let path = json_path "BENCH_serve.json" in
+  let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"bench\": \"serve\",\n";
   Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
@@ -1358,7 +1376,7 @@ let serve_bench () =
         s.Plan_cache.entries s.Plan_cache.bound);
   Printf.fprintf oc "}\n";
   close_out oc;
-  Printf.printf "  wrote BENCH_serve.json\n%!"
+  Printf.printf "  wrote %s\n%!" path
 
 let only_runtime = Array.exists (fun a -> a = "runtime") Sys.argv
 let only_parallel = Array.exists (fun a -> a = "parallel") Sys.argv

@@ -34,6 +34,7 @@ type stats = {
   seq_built : int;
   budget_fallbacks : int;
   ineligible : int;
+  deferred : int;
 }
 
 let c_attempts = Atomic.make 0
@@ -41,6 +42,7 @@ let c_sync = Atomic.make 0
 let c_seq = Atomic.make 0
 let c_budget = Atomic.make 0
 let c_inel = Atomic.make 0
+let c_deferred = Atomic.make 0
 
 let stats () =
   {
@@ -49,10 +51,12 @@ let stats () =
     seq_built = Atomic.get c_seq;
     budget_fallbacks = Atomic.get c_budget;
     ineligible = Atomic.get c_inel;
+    deferred = Atomic.get c_deferred;
   }
 
 let reset_stats () =
-  List.iter (fun c -> Atomic.set c 0) [ c_attempts; c_sync; c_seq; c_budget; c_inel ]
+  List.iter (fun c -> Atomic.set c 0)
+    [ c_attempts; c_sync; c_seq; c_budget; c_inel; c_deferred ]
 
 (* ------------------------------------------------------------------ *)
 (* Frames. *)
@@ -519,11 +523,19 @@ let product_seq ((a : Fsa.t), fa) ((b : Fsa.t), fb) =
 (* The memoized dispatcher.  Keyed on physical factor identities (the
    Compile memo hands out shared automata), so a query plan rebuilt for
    every run reuses one product — and with it the Optimize and Runtime
-   memos keyed on the product's identity. *)
+   memos keyed on the product's identity.
+
+   A product costs milliseconds to build and saves microseconds per
+   execution, so it is built only once its pair has shown it recurs.
+   Each key's slot moves Requested → Building → Done: the first request
+   records the key and answers [None], the second builds (one domain
+   wins the slot by compare-and-set; a domain that loses answers [None]
+   this once), and every later one reads the result. *)
 
 type key = Fsa.t * frame * Fsa.t * frame
+type slot = Requested | Building | Done of (Fsa.t * frame) option
 
-let cache : (key, (Fsa.t * frame) option) Strdb_util.Memo.t =
+let cache : (key, slot Atomic.t) Strdb_util.Memo.t =
   Strdb_util.Memo.create ~name:"product" ~bound:128
     ~hash:(fun (a, _, b, _) -> (Fsa.size_hash a * 31) + Fsa.size_hash b)
     ~equal:(fun (a, fa, b, fb) (a', fa', b', fb') ->
@@ -566,4 +578,22 @@ let build ((a, fa) as left) ((b, fb) as right) =
 
 let fuse ((a, fa) as left) ((b, fb) as right) =
   if not (enabled ()) then None
-  else Strdb_util.Memo.find_or_add cache (a, fa, b, fb) (fun _ -> build left right)
+  else
+    let key = (a, fa, b, fb) in
+    match Strdb_util.Memo.find cache key with
+    | None ->
+        ignore (Strdb_util.Memo.add cache key (Atomic.make Requested));
+        Atomic.incr c_deferred;
+        None
+    | Some slot -> (
+        match Atomic.get slot with
+        | Done r -> r
+        | Requested when Atomic.compare_and_set slot Requested Building -> (
+            match build left right with
+            | r ->
+                Atomic.set slot (Done r);
+                r
+            | exception e ->
+                Atomic.set slot Requested;
+                raise e)
+        | Requested | Building -> None)

@@ -34,9 +34,11 @@
     the planner evaluates the conjuncts unfused — the sequential
     composition's generate-then-test runs are no faster than separate
     passes, so blowing the budget never buys a slower plan.
-    Results are memoized on the physical identities of the factors, so
-    repeated plans reuse one product automaton — and with it any
-    optimizer/runtime memos keyed on it. *)
+    A pair's product is built on its second request, not its first, so a
+    plan prepared once pays nothing for fusion; results are memoized on
+    the physical identities of the factors, so repeated plans reuse one
+    product automaton — and with it any optimizer/runtime memos keyed on
+    it. *)
 
 type frame = string list
 (** A variable frame: the tape names of an automaton, in tape order,
@@ -65,6 +67,9 @@ type stats = {
   budget_fallbacks : int;
       (** synchronized constructions abandoned on budget blowout. *)
   ineligible : int;  (** factor pairs {!fuse} refused outright. *)
+  deferred : int;
+      (** first requests for a pair, which {!fuse} recorded and answered
+          [None] without building. *)
 }
 
 val stats : unit -> stats
@@ -97,12 +102,21 @@ val product_seq : Fsa.t * frame -> Fsa.t * frame -> (Fsa.t * frame) option
     degenerate transition blowup.  Same acceptance contract. *)
 
 val fuse : Fsa.t * frame -> Fsa.t * frame -> (Fsa.t * frame) option
-(** The memoized dispatcher used by the evaluator: [None] when fusion
-    is disabled or both constructions decline; otherwise the product of
-    the optimized factors, run through [Optimize.optimized].  Memoized
-    in the ["product"] {!Strdb_util.Memo} (128 entries) on ([==] of
-    factor automata, [=] of frames). *)
+(** The memoized dispatcher used by the evaluator.  Requests for one
+    pair, keyed on ([==] of factor automata, [=] of frames) in the
+    ["product"] {!Strdb_util.Memo} (128 entries), are answered in turn:
+    - the first records the pair and answers [None] (counted in
+      [deferred]), so a plan prepared once keeps its conjuncts unfused;
+    - the second builds the product.  Of domains making it at once, one
+      builds and the others answer [None] this once;
+    - every later request answers the memoized result.
+
+    A built result is [None] when both constructions decline, else the
+    product of the optimized factors, run through [Optimize.optimized].
+    With fusion disabled every request answers [None] and records
+    nothing.  Callers treat [None] alike whatever its cause: they keep
+    the conjuncts separate. *)
 
 val clear_cache : unit -> unit
-(** Drop the {!fuse} memo and zero its counters (benchmarks isolating
-    cold costs). *)
+(** Drop the {!fuse} memo — built products and recorded first requests
+    alike — and zero its counters (benchmarks isolating cold costs). *)

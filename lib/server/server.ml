@@ -160,6 +160,7 @@ let answer srv req =
             ("entries", m.entries);
           ]
       in
+      let p = Strdb_fsa.Product.stats () in
       Ok
         (List.map
            (fun (k, v) -> Printf.sprintf "%s %d" k v)
@@ -174,7 +175,12 @@ let answer srv req =
               ("queries", queries);
               ("errors", errors);
             ]
-           @ List.concat_map memo (Strdb_util.Memo.registered ())))
+           @ List.concat_map memo (Strdb_util.Memo.registered ())
+           @ [
+               ("product_deferred", p.deferred);
+               ("product_built", p.sync_built + p.seq_built);
+               ("product_budget_fallbacks", p.budget_fallbacks);
+             ]))
   | Explain src ->
       with_formula src (fun phi ->
           let free = F.free_vars phi in

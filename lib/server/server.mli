@@ -18,7 +18,9 @@
     - [STATS] — ["key value"] telemetry lines (plan-cache hit/miss/
       eviction/entry counts, connection/query/error counters, then
       [memo_<name>_hits], [_misses], [_evictions] and [_entries] for
-      every memo in {!Strdb_util.Memo.registered});
+      every memo in {!Strdb_util.Memo.registered}, then the product
+      counters [product_deferred], [product_built] and
+      [product_budget_fallbacks] of {!Strdb_fsa.Product.stats});
     - [PING] — liveness probe;
     - [QUIT] — close the session.
 

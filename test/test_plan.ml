@@ -229,24 +229,41 @@ let qcheck_props =
                 Eval.run ~store:st b rdb ~free phi
                 = split_run ~store:st b rdb ~free phi)
               combos));
-    Test_qcheck.prop ~count:20 "fused two-conjunct plans ≡ run, fuse on/off"
+    (* A pair's product is built on its second request, so the fused
+       side plans once before it is compared, and counts its fused
+       cases. *)
+    Test_qcheck.prop_witnessed ~count:20 ~what:"planned a fused filter"
+      "fused two-conjunct plans ≡ run, fuse on/off"
       (QCheck.pair
          (Test_qcheck.arb_sformula [ "u"; "v" ])
          (Test_qcheck.arb_sformula [ "u"; "v" ]))
-      (fun (s1, s2) ->
+      (fun fused (s1, s2) ->
         let phi =
           F.And
             (F.Rel ("pair", [ "u"; "v" ]), F.And (F.Str s1, F.Str s2))
         in
         let free = F.free_vars phi in
         let fuse0 = Product.enabled () in
+        let is_fused = function
+          | Ok steps ->
+              List.exists
+                (function
+                  | Eval.Filter (d, _) -> contains d "σ-fusion" | _ -> false)
+                steps
+          | Error _ -> false
+        in
         Fun.protect
           ~finally:(fun () -> Product.set_enabled fuse0)
           (fun () ->
             List.for_all
               (fun fu ->
                 Product.set_enabled fu;
-                Eval.run b pair_db ~free phi = split_run b pair_db ~free phi)
+                if fu then ignore (Eval.explain b pair_db phi);
+                let agree =
+                  Eval.run b pair_db ~free phi = split_run b pair_db ~free phi
+                in
+                if fu && is_fused (Eval.explain b pair_db phi) then fused ();
+                agree)
               [ true; false ]));
   ]
 

@@ -1,9 +1,9 @@
 (* Conjunct fusion: the merged-frame product constructions (sync window
    product + sequential composition), their acceptance law
      accepts (a × b) t  ⇔  accepts a t|_A ∧ accepts b t|_B,
-   the STRDB_FUSE toggle and the state budget, and the fused
-   evaluator paths (σ-fusion of filters, selection pushdown into
-   certified generators). *)
+   the STRDB_FUSE toggle and the state budget, the fused evaluator paths
+   (σ-fusion of filters, selection pushdown into certified generators),
+   and the rule that a pair's product is built on its second request. *)
 open Strdb
 open Helpers
 
@@ -15,6 +15,10 @@ let with_fuse on f =
   let was = Product.enabled () in
   Product.set_enabled on;
   Fun.protect ~finally:(fun () -> Product.set_enabled was) f
+
+(* A pair's first [Product.fuse] request only records it; the second
+   builds.  Fused-path tests make the first request here. *)
+let warm pa pb = ignore (Product.fuse pa pb)
 
 let with_budget n f =
   let was = Product.state_budget () in
@@ -118,6 +122,7 @@ let core_tests =
             Product.reset_stats ();
             check_bool "sync overflows" true
               (Product.product_sync (a, [ "x"; "y" ]) (p, [ "x"; "y" ]) = None);
+            warm (a, [ "x"; "y" ]) (p, [ "x"; "y" ]);
             check_bool "fuse declines on blowout" true
               (Product.fuse (a, [ "x"; "y" ]) (p, [ "x"; "y" ]) = None);
             let s = Product.stats () in
@@ -136,6 +141,8 @@ let core_tests =
         Product.clear_cache ();
         let a = compile [ "x"; "y" ] (Combinators.equal_s "x" "y") in
         let p = compile [ "x"; "y" ] (Combinators.prefix "x" "y") in
+        check_bool "the first request only records the pair" true
+          (Product.fuse (a, [ "x"; "y" ]) (p, [ "x"; "y" ]) = None);
         let r1 = Product.fuse (a, [ "x"; "y" ]) (p, [ "x"; "y" ]) in
         let r2 = Product.fuse (a, [ "x"; "y" ]) (p, [ "x"; "y" ]) in
         match (r1, r2) with
@@ -166,6 +173,7 @@ let core_tests =
         let a = compile [ "x"; "y" ] (Combinators.equal_s "x" "y") in
         let p = compile [ "x"; "y" ] (Combinators.prefix "x" "y") in
         let s = compile [ "x"; "y" ] (Combinators.subsequence "x" "y") in
+        warm (a, [ "x"; "y" ]) (p, [ "x"; "y" ]);
         match Product.fuse (a, [ "x"; "y" ]) (p, [ "x"; "y" ]) with
         | None -> Alcotest.fail "first fuse refused"
         | Some (ap, f) -> (
@@ -226,25 +234,49 @@ let contains ~needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* Did the plan fuse: a σ-fusion filter or a generator with pushdown? *)
+let is_fused steps =
+  List.exists (fun (d, _) -> contains ~needle:"σ-fusion" d) (filters_of steps)
+  || List.exists (fun (d, _, _) -> contains ~needle:"⋉" d) (generators_of steps)
+
+(* The plan of [q] with fusion on, planned a second time so that the
+   first planning's factor pairs are built. *)
+let warmed_explain q =
+  with_fuse true (fun () ->
+      ignore (Eval.explain b db q);
+      Eval.explain b db q)
+
+(* [q] run fused, after a warm-up plan, and unfused; fails unless the
+   fused run's plan really fused, so agreement is never vacuous. *)
+let fused_and_plain ~free q =
+  let fused =
+    with_fuse true (fun () ->
+        ignore (Eval.explain b db q);
+        let r = Eval.run b db ~free q in
+        match Eval.explain b db q with
+        | Ok steps when is_fused steps -> r
+        | _ -> Alcotest.fail "the warmed plan did not fuse")
+  in
+  (fused, with_fuse false (fun () -> Eval.run b db ~free q))
+
 let planner_tests =
   [
     tc "explain shows a fused filter step with provenance and kernel"
       (fun () ->
-        with_fuse true (fun () ->
-            match Eval.explain b db two_filter_query with
-            | Error e -> Alcotest.fail e
-            | Ok steps -> (
-                match filters_of steps with
-                | [ (d, a) ] ->
-                    check_bool "provenance" true (contains ~needle:"σ-fusion" d);
-                    check_bool "factors listed" true (contains ~needle:"×" d);
-                    check_bool "shape shown" true
-                      (contains ~needle:"unidirectional" a);
-                    check_bool "kernel shown" true
-                      (contains ~needle:"one-way frontier" a)
-                | fs ->
-                    Alcotest.failf "expected one fused filter step, got %d"
-                      (List.length fs))));
+        match warmed_explain two_filter_query with
+        | Error e -> Alcotest.fail e
+        | Ok steps -> (
+            match filters_of steps with
+            | [ (d, a) ] ->
+                check_bool "provenance" true (contains ~needle:"σ-fusion" d);
+                check_bool "factors listed" true (contains ~needle:"×" d);
+                check_bool "shape shown" true
+                  (contains ~needle:"unidirectional" a);
+                check_bool "kernel shown" true
+                  (contains ~needle:"one-way frontier" a)
+            | fs ->
+                Alcotest.failf "expected one fused filter step, got %d"
+                  (List.length fs)));
     tc "explain reproduces the unfused plan with STRDB_FUSE=0" (fun () ->
         with_fuse false (fun () ->
             match Eval.explain b db two_filter_query with
@@ -258,39 +290,24 @@ let planner_tests =
                       (contains ~needle:"σ-fusion" d))
                   (filters_of steps)));
     tc "explain shows selection pushdown on a certified generator" (fun () ->
-        with_fuse true (fun () ->
-            match Eval.explain b db pushdown_query with
-            | Error e -> Alcotest.fail e
-            | Ok steps -> (
-                match generators_of steps with
-                | [ (d, _, a) ] ->
-                    check_bool "pushdown marker" true (contains ~needle:"⋉" d);
-                    check_bool "annotated" true (contains ~needle:"states" a)
-                | gs ->
-                    Alcotest.failf "expected one generator step, got %d"
-                      (List.length gs));
+        match warmed_explain pushdown_query with
+        | Error e -> Alcotest.fail e
+        | Ok steps -> (
+            match generators_of steps with
+            | [ (d, _, a) ] ->
+                check_bool "pushdown marker" true (contains ~needle:"⋉" d);
+                check_bool "annotated" true (contains ~needle:"states" a);
                 check_int "pushed filter leaves the plan" 0
-                  (List.length (filters_of steps))));
+                  (List.length (filters_of steps))
+            | gs ->
+                Alcotest.failf "expected one generator step, got %d"
+                  (List.length gs)));
     tc "fused and unfused runs agree (filters)" (fun () ->
-        let fused =
-          with_fuse true (fun () -> Eval.run b db ~free:[ "u"; "v" ] two_filter_query)
-        in
-        let plain =
-          with_fuse false (fun () ->
-              Eval.run b db ~free:[ "u"; "v" ] two_filter_query)
-        in
-        match (fused, plain) with
+        match fused_and_plain ~free:[ "u"; "v" ] two_filter_query with
         | Ok a, Ok b_ -> check_tuples "rows" b_ a
         | _ -> Alcotest.fail "evaluation failed");
     tc "fused and unfused runs agree (generator pushdown)" (fun () ->
-        let fused =
-          with_fuse true (fun () -> Eval.run b db ~free:[ "x"; "y" ] pushdown_query)
-        in
-        let plain =
-          with_fuse false (fun () ->
-              Eval.run b db ~free:[ "x"; "y" ] pushdown_query)
-        in
-        match (fused, plain) with
+        match fused_and_plain ~free:[ "x"; "y" ] pushdown_query with
         | Ok a, Ok b_ ->
             check_tuples "rows" b_ a;
             check_tuples "expected answers"
@@ -305,10 +322,88 @@ let planner_tests =
         | _ -> Alcotest.fail "evaluation failed");
   ]
 
+(* ----------------------------------------------- build on second request *)
+
+let built () =
+  let s = Product.stats () in
+  s.Product.sync_built + s.Product.seq_built
+
+let prepare_filters () =
+  match Eval.prepare b db ~free:[ "u"; "v" ] two_filter_query with
+  | Error e -> Alcotest.fail e
+  | Ok plan -> filters_of (Plan.explain plan)
+
+let deferred_tests =
+  [
+    tc "one prepare of a fresh formula builds no product" (fun () ->
+        with_fuse true @@ fun () ->
+        Product.clear_cache ();
+        let s0 = Product.stats () in
+        let filters = prepare_filters () in
+        let s1 = Product.stats () in
+        check_int "no construction attempted" s0.Product.attempts
+          s1.Product.attempts;
+        check_int "the request is deferred" (s0.Product.deferred + 1)
+          s1.Product.deferred;
+        check_int "two separate filters" 2 (List.length filters));
+    tc "a second prepare explains one σ-fusion step" (fun () ->
+        with_fuse true @@ fun () ->
+        Product.clear_cache ();
+        ignore (prepare_filters ());
+        match prepare_filters () with
+        | [ (d, _) ] ->
+            check_bool "σ-fusion step" true (contains ~needle:"σ-fusion" d)
+        | fs ->
+            Alcotest.failf "expected one fused filter step, got %d"
+              (List.length fs));
+    tc "clear_cache forgets a recorded request" (fun () ->
+        with_fuse true @@ fun () ->
+        let a = compile [ "x"; "y" ] (Combinators.equal_s "x" "y") in
+        let p = compile [ "x"; "y" ] (Combinators.prefix "x" "y") in
+        let pa = (a, [ "x"; "y" ]) and pp = (p, [ "x"; "y" ]) in
+        Product.clear_cache ();
+        warm pa pp;
+        Product.clear_cache ();
+        check_bool "first request again after clear" true
+          (Product.fuse pa pp = None);
+        check_bool "built on the next" true (Product.fuse pa pp <> None));
+    tc "four domains making the second request build one product"
+      (fun () ->
+        let free = [ "u"; "v" ] in
+        let plain =
+          with_fuse false (fun () ->
+              Eval.run ~domains:1 b db ~free two_filter_query)
+        in
+        with_fuse true @@ fun () ->
+        Product.clear_cache ();
+        ignore (prepare_filters ());
+        let b0 = built () in
+        let ready = Atomic.make 0 in
+        let second_request () =
+          Atomic.incr ready;
+          while Atomic.get ready < 4 do
+            Domain.cpu_relax ()
+          done;
+          Eval.run ~domains:1 b db ~free two_filter_query
+        in
+        let answers =
+          List.map Domain.join (List.init 4 (fun _ -> Domain.spawn second_request))
+        in
+        check_int "exactly one product built" (b0 + 1) (built ());
+        List.iter
+          (fun r -> check_bool "answer matches the unfused run" true (r = plain))
+          answers;
+        match prepare_filters () with
+        | [ (d, _) ] ->
+            check_bool "later plans use it" true (contains ~needle:"σ-fusion" d)
+        | _ -> Alcotest.fail "the built product is not reused");
+  ]
+
 (* ------------------------------------------------------------- qcheck *)
 
 let qcheck_tests =
   let prop = Test_qcheck.prop in
+  let prop_witnessed = Test_qcheck.prop_witnessed in
   let arb_sformula = Test_qcheck.arb_sformula in
   let arb_string = Test_qcheck.arb_string in
   let triple = QCheck.triple arb_string arb_string arb_string in
@@ -337,28 +432,32 @@ let qcheck_tests =
         | Some (p, _) ->
             Run.accepts p [ u; v ]
             = (Run.accepts_naive a [ u; v ] && Run.accepts_naive b_ [ u; v ]));
-    prop ~count:40 "fuse law on disjoint frames"
+    prop_witnessed ~count:40 ~what:"was fused" "fuse law on disjoint frames"
       (QCheck.pair
          (QCheck.pair
             (arb_sformula ~allow_right:false [ "x" ])
             (arb_sformula [ "y" ]))
          Test_qcheck.arb_string_pair)
-      (fun ((pa, pb), (u, v)) ->
+      (fun fused ((pa, pb), (u, v)) ->
         let a = compile [ "x" ] pa and b_ = compile [ "y" ] pb in
         Product.clear_cache ();
         match
-          with_fuse true (fun () -> Product.fuse (a, [ "x" ]) (b_, [ "y" ]))
+          with_fuse true (fun () ->
+              warm (a, [ "x" ]) (b_, [ "y" ]);
+              Product.fuse (a, [ "x" ]) (b_, [ "y" ]))
         with
         | None -> true
         | Some (p, merged) ->
+            fused ();
             merged = [ "x"; "y" ]
             && Run.accepts p [ u; v ]
                = (Run.accepts_naive a [ u ] && Run.accepts_naive b_ [ v ]));
-    prop ~count:30 "pipeline: STRDB_FUSE=1 ≡ STRDB_FUSE=0 on random conjuncts"
+    prop_witnessed ~count:30 ~what:"planned a fused filter"
+      "pipeline: STRDB_FUSE=1 ≡ STRDB_FUSE=0 on random conjuncts"
       (QCheck.pair
          (QCheck.pair (arb_sformula [ "x"; "y" ]) (arb_sformula [ "x"; "y" ]))
          (QCheck.small_list Test_qcheck.arb_string_pair))
-      (fun ((p1, p2), tuples) ->
+      (fun fused_case ((p1, p2), tuples) ->
         let db =
           Database.of_list [ ("r", List.map (fun (u, v) -> [ u; v ]) tuples) ]
         in
@@ -368,7 +467,13 @@ let qcheck_tests =
               Formula.And (Formula.Str p1, Formula.Str p2) )
         in
         let fused =
-          with_fuse true (fun () -> Eval.run b db ~free:[ "x"; "y" ] phi)
+          with_fuse true (fun () ->
+              ignore (Eval.explain b db phi);
+              let r = Eval.run b db ~free:[ "x"; "y" ] phi in
+              (match Eval.explain b db phi with
+              | Ok steps when is_fused steps -> fused_case ()
+              | _ -> ());
+              r)
         in
         let plain =
           with_fuse false (fun () -> Eval.run b db ~free:[ "x"; "y" ] phi)
@@ -380,5 +485,6 @@ let suites =
   [
     ("product.core", core_tests);
     ("product.planner", planner_tests);
+    ("product.deferred", deferred_tests);
     ("qcheck.product", qcheck_tests);
   ]

@@ -90,6 +90,20 @@ let prop ?(count = 100) name arb f =
     ~rand:(Random.State.make [| seed; Hashtbl.hash name |])
     (QCheck.Test.make ~count ~name arb f)
 
+(* [prop], for a property that only means something on some cases: [f]
+   gets a [witness] callback to call on each such case, and the run
+   fails when no generated case called it, so the property cannot pass
+   vacuously. *)
+let prop_witnessed ?count ~what name arb f =
+  let seen = ref 0 in
+  let name, speed, run = prop ?count name arb (f (fun () -> incr seen)) in
+  ( name,
+    speed,
+    fun () ->
+      seen := 0;
+      run ();
+      if !seen = 0 then Alcotest.failf "no generated case %s" what )
+
 (* --- properties ------------------------------------------------------------ *)
 
 let compile_props =
@@ -187,16 +201,25 @@ let runtime_props =
       (fun (phi, ws) ->
         let fsa = Compile.compile b ~vars:[ "x" ] phi in
         agrees_naive fsa ws);
-    prop ~count:60 "one-tape fused product accepts ≡ naive accepts"
+    prop_witnessed ~count:60 ~what:"was fused"
+      "one-tape fused product accepts ≡ naive accepts"
       (QCheck.triple
          (arb_sformula ~allow_right:false [ "x" ])
          (arb_sformula ~allow_right:false [ "x" ])
          arb_strings)
-      (fun (phi, psi, ws) ->
+      (fun fused (phi, psi, ws) ->
         let c f = (Compile.compile b ~vars:[ "x" ] f, [ "x" ]) in
-        match Product.fuse (c phi) (c psi) with
-        | None -> true (* fusion switched off: nothing to compare *)
-        | Some (p, _) -> agrees_naive p ws);
+        let pa = c phi and pb = c psi in
+        let was = Product.enabled () in
+        Fun.protect ~finally:(fun () -> Product.set_enabled was) @@ fun () ->
+        Product.set_enabled true;
+        (* a pair's first request only records it; the second builds *)
+        ignore (Product.fuse pa pb);
+        match Product.fuse pa pb with
+        | None -> true (* budget blowout: nothing to compare *)
+        | Some (p, _) ->
+            fused ();
+            agrees_naive p ws);
     prop ~count:60 "specialised one-tape accepts ≡ naive accepts"
       (QCheck.triple (arb_sformula [ "x"; "y" ]) arb_string arb_strings)
       (fun (phi, u, ws) ->

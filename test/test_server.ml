@@ -143,6 +143,9 @@ let protocol_tests =
                               Alcotest.failf "STATS missing %s" k)
                           [ "hits"; "misses"; "evictions"; "entries" ])
                       names;
+                    check_string_list "the product counters come last"
+                      [ "product_deferred"; "product_built"; "product_budget_fallbacks" ]
+                      (List.filteri (fun i _ -> i >= List.length kv - 3) (List.map fst kv));
                     check_string_list "the server's keys come first"
                       [
                         "plan_cache_hits"; "plan_cache_misses"; "plan_cache_evictions";
@@ -150,6 +153,33 @@ let protocol_tests =
                         "busy_rejected"; "queries"; "errors";
                       ]
                       (List.filteri (fun i _ -> i < 9) (List.map fst kv)))));
+    tc "STATS: a cached plan is prepared once, so its filters stay unfused"
+      (fun () ->
+        with_server ~cache_bound:128 (fun _ socket ->
+            with_client socket (fun c ->
+                let q = "pair(u,v) & S{[u,v]l{u=v}} & S{[u]l{u='a'}}" in
+                let was = Product.enabled () in
+                Fun.protect ~finally:(fun () -> Product.set_enabled was) @@ fun () ->
+                Product.set_enabled true;
+                Product.clear_cache ();
+                let p0 = Product.stats () in
+                ignore (Client.query c q);
+                ignore (Client.query c q);
+                match Client.stats c with
+                | Error e -> Alcotest.fail e
+                | Ok kv ->
+                    let get k =
+                      match List.assoc_opt k kv with
+                      | Some v -> v
+                      | None -> Alcotest.failf "STATS missing %s" k
+                    in
+                    check_int "the pair's one request is deferred"
+                      (p0.Product.deferred + 1) (get "product_deferred");
+                    check_int "no product built"
+                      (p0.Product.sync_built + p0.Product.seq_built)
+                      (get "product_built");
+                    check_int "no budget fallback" p0.Product.budget_fallbacks
+                      (get "product_budget_fallbacks"))));
   ]
 
 let overload_tests =
