@@ -202,7 +202,7 @@ let annotate_fsa ~kernel fsa =
     (Strdb_fsa.Optimize.describe fsa)
     (match kernel with
     | `Accepts -> Strdb_fsa.Runtime.kernel_name fsa
-    | `Generate -> "lazy enumerator")
+    | `Generate -> "output-trie walk")
 
 let annotate sigma ~vars ~kernel s =
   match Strdb_calculus.Compile.compile sigma ~vars s with

@@ -85,7 +85,7 @@ let sat_via_strings ~nvars cnf =
     let enc = encode ~nvars cnf in
     let phi = check_formula ~x:"x" ~y:"y" in
     let fsa = Strdb_calculus.Compile.compile sigma ~vars:[ "x"; "y" ] phi in
-    Strdb_fsa.Generate.outputs fsa ~inputs:[ enc ] ~max_len:nvars <> []
+    not (Strdb_fsa.Generate.is_empty_upto fsa ~inputs:[ enc ] ~max_len:nvars)
   end
 
 let taut_via_strings ~nvars dnf =

@@ -1,8 +1,8 @@
-(* Two implementations of the lazy-tape enumerator: the naive reference
-   (string-valued committed prefixes, List.filter dispatch — the original
-   code) and the fast runtime-backed one (interned prefix ids, indexed
-   dispatch).  [accepted] picks per the Runtime toggle; the qcheck suite
-   asserts they agree. *)
+(* Two enumerators of a k-FSA's bounded language: the naive reference
+   (string-valued committed prefixes, one configuration at a time,
+   List.filter dispatch — the original code) and the output-trie walk
+   over packed configuration sets.  [accepted] picks per the Runtime
+   toggle; the qcheck suite asserts they agree. *)
 
 (* ------------------------------------------------------------------ *)
 (* Naive reference implementation. *)
@@ -132,214 +132,280 @@ let accepted_naive (a : Fsa.t) ~max_len =
   Hashtbl.fold (fun tup () acc -> tup :: acc) results [] |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* Fast implementation.
+(* The output-trie walk.
 
-   Committed prefixes are interned in a pool: each prefix is an int id
-   with a parent pointer and a last character, so committing a character
-   is O(1) (no string copy) and node keys hash ids instead of string
-   contents.  Strings materialize once, memoized, when a tuple is
-   emitted or a head walks deep into the committed region. *)
+   A trie node is one tuple of committed output prefixes, each possibly
+   finished (its ⊣ committed), with a set of configurations whose heads
+   read committed squares only, closed under firing.  A configuration
+   is blocked when a head reaches the first uncommitted square of an
+   unfinished tape; it is filed under its lowest such tape.  For each
+   tape with blocked configurations the node branches into each
+   character (within the bound) and ⊣, seeding each child with the
+   configurations blocked on that tape only.  Configurations blocked on
+   one tape therefore never re-run under another tape's branching:
+   carried along instead, two threads writing different tapes would
+   cost the product of their subtrees.  The price is that the branches
+   of one node for different tapes can commit the same tuple in
+   different orders, so a tuple may be emitted more than once and the
+   answer is deduplicated when it is sorted.
 
-module Pool = struct
-  type t = {
-    mutable parent : int array;
-    mutable last : char array;
-    mutable len : int array;
-    mutable count : int;
-    ext : (int * char, int) Hashtbl.t;  (* (parent, char) ↦ id *)
-    strings : (int, string) Hashtbl.t;  (* memoized materializations *)
-  }
+   A node holding a halting configuration in a final state emits its
+   prefixes with every completion of its unfinished tapes, and stops:
+   every tuple below it is among those completions.
 
-  let create () =
-    let p =
-      {
-        parent = Array.make 64 0;
-        last = Array.make 64 '\000';
-        len = Array.make 64 0;
-        count = 1;  (* id 0: the empty prefix *)
-        ext = Hashtbl.create 256;
-        strings = Hashtbl.create 64;
-      }
-    in
-    Hashtbl.replace p.strings 0 "";
-    p
+   Configurations are packed ints over the layout with max_len + 2 head
+   positions per tape, so firing a transition adds a constant.  All
+   scratch is per call and grows on demand: the closure's worklist, a
+   generation-stamped open-addressing set (one generation per node),
+   each tape's committed ranks, the blocked configurations per tape, a
+   stack of blocked-configuration segments and a stack of pending child
+   frames.  Generator rows run on pool and server domains, so nothing
+   here is shared. *)
 
-  let length p id = p.len.(id)
+(* A growable int stack. *)
+module Vec = struct
+  type t = { mutable a : int array; mutable n : int }
 
-  let extend p id c =
-    match Hashtbl.find_opt p.ext (id, c) with
-    | Some j -> j
-    | None ->
-        let j = p.count in
-        if j = Array.length p.parent then begin
-          let n = 2 * j in
-          let parent = Array.make n 0
-          and last = Array.make n '\000'
-          and len = Array.make n 0 in
-          Array.blit p.parent 0 parent 0 j;
-          Array.blit p.last 0 last 0 j;
-          Array.blit p.len 0 len 0 j;
-          p.parent <- parent;
-          p.last <- last;
-          p.len <- len
-        end;
-        p.parent.(j) <- id;
-        p.last.(j) <- c;
-        p.len.(j) <- p.len.(id) + 1;
-        p.count <- j + 1;
-        Hashtbl.replace p.ext (id, c) j;
-        j
+  let create () = { a = Array.make 16 0; n = 0 }
 
-  let to_string p id =
-    match Hashtbl.find_opt p.strings id with
-    | Some s -> s
-    | None ->
-        let n = p.len.(id) in
-        let b = Bytes.create n in
-        let i = ref id in
-        for q = n - 1 downto 0 do
-          Bytes.set b q p.last.(!i);
-          i := p.parent.(!i)
-        done;
-        let s = Bytes.unsafe_to_string b in
-        Hashtbl.replace p.strings id s;
-        s
-
-  (* The character at 0-based position [q] (< length).  Heads usually sit
-     near the frontier, so walk short distances; memoize a full
-     materialization beyond that. *)
-  let char_at p id q =
-    let dist = p.len.(id) - 1 - q in
-    if dist <= 8 then begin
-      let i = ref id in
-      for _ = 1 to dist do
-        i := p.parent.(!i)
-      done;
-      p.last.(!i)
-    end
-    else (to_string p id).[q]
+  let push v x =
+    if v.n = Array.length v.a then begin
+      let b = Array.make (2 * v.n) 0 in
+      Array.blit v.a 0 b 0 v.n;
+      v.a <- b
+    end;
+    Array.unsafe_set v.a v.n x;
+    v.n <- v.n + 1
 end
 
-type ftape = { fcommitted : int; ffinished : bool; fpos : int }
-type fnode = { fstate : int; ftapes : ftape array }
+(* A set of non-negative ints with O(1) clearing: a slot belongs to the
+   set when its stamp is the current generation. *)
+module Stamped = struct
+  type t = {
+    mutable keys : int array;
+    mutable stamps : int array;
+    mutable gen : int;
+    mutable count : int;
+  }
 
-let fsymbol_under pool t =
-  if t.fpos = 0 then Some Symbol.Lend
-  else if t.fpos <= Pool.length pool t.fcommitted then
-    Some (Symbol.Chr (Pool.char_at pool t.fcommitted (t.fpos - 1)))
-  else if t.ffinished then Some Symbol.Rend
-  else None
+  let create () = { keys = Array.make 64 0; stamps = Array.make 64 0; gen = 1; count = 0 }
 
-let fnode_key n =
-  ( n.fstate,
-    Array.to_list
-      (Array.map (fun t -> (t.fcommitted, t.ffinished, t.fpos)) n.ftapes) )
+  let clear s =
+    s.gen <- s.gen + 1;
+    s.count <- 0
 
-(* The enumerator over [a] with its dispatch index [rt]. *)
-let enumerate rt (a : Fsa.t) ~max_len =
-  if max_len < 0 then invalid_arg "Generate.accepted: negative bound";
-  let indexable = Runtime.indexable rt in
-  let pool = Pool.create () in
-  let sigma_chars = Strdb_util.Alphabet.chars a.sigma in
-  let results = Hashtbl.create 64 in
-  let seen = Hashtbl.create 1024 in
-  let stack = ref [] in
-  let push n =
-    let k = fnode_key n in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.replace seen k ();
-      stack := n :: !stack
+  let hash k = (k * 0x9E3779B1) lxor (k lsr 16)
+
+  (* Insert [k] unless present; true when it was fresh. *)
+  let insert keys stamps gen k =
+    let mask = Array.length keys - 1 in
+    let i = ref (hash k land mask) in
+    while Array.unsafe_get stamps !i = gen && Array.unsafe_get keys !i <> k do
+      i := (!i + 1) land mask
+    done;
+    if Array.unsafe_get stamps !i = gen then false
+    else begin
+      Array.unsafe_set keys !i k;
+      Array.unsafe_set stamps !i gen;
+      true
     end
-  in
-  push
-    {
-      fstate = a.start;
-      ftapes = Array.make a.arity { fcommitted = 0; ffinished = false; fpos = 0 };
-    };
-  let emit n =
-    let rec expand i acc =
-      if i = a.arity then Hashtbl.replace results (List.rev acc) ()
-      else
-        let t = n.ftapes.(i) in
-        let committed = Pool.to_string pool t.fcommitted in
-        if t.ffinished then expand (i + 1) (committed :: acc)
-        else
-          let budget = max_len - String.length committed in
-          let suffixes = Strdb_util.Strutil.all_strings_upto a.sigma (max budget 0) in
-          List.iter (fun sfx -> expand (i + 1) ((committed ^ sfx) :: acc)) suffixes
-    in
-    expand 0 []
-  in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | n :: rest -> (
-        stack := rest;
-        let under = Array.map (fsymbol_under pool) n.ftapes in
-        let frontier_tape =
-          let idx = ref (-1) in
-          Array.iteri (fun i s -> if !idx < 0 && s = None then idx := i) under;
-          !idx
-        in
-        if frontier_tape >= 0 then begin
-          let i = frontier_tape in
-          let t = n.ftapes.(i) in
-          let final = Fsa.is_final a n.fstate in
-          let out = Runtime.outgoing rt n.fstate in
-          let allowed sym =
-            final
-            || Array.exists (fun (tr : Fsa.transition) -> Symbol.equal tr.read.(i) sym) out
-          in
-          if allowed Symbol.Rend then begin
-            let tapes_end = Array.copy n.ftapes in
-            tapes_end.(i) <- { t with ffinished = true };
-            push { n with ftapes = tapes_end }
-          end;
-          if Pool.length pool t.fcommitted < max_len then
-            List.iter
-              (fun c ->
-                if allowed (Symbol.Chr c) then begin
-                  let tapes_c = Array.copy n.ftapes in
-                  tapes_c.(i) <- { t with fcommitted = Pool.extend pool t.fcommitted c };
-                  push { n with ftapes = tapes_c }
-                end)
-              sigma_chars
-        end
-        else begin
-          let under = Array.map Option.get under in
-          let fire tr =
-            let ftapes =
-              Array.mapi (fun i t -> { t with fpos = t.fpos + tr.Fsa.moves.(i) }) n.ftapes
-            in
-            push { fstate = tr.Fsa.dst; ftapes }
-          in
-          let fired =
-            if indexable then begin
-              let ids =
-                Runtime.transitions_for rt ~state:n.fstate
-                  ~code:(Runtime.code_of_symbols rt under)
-              in
-              Array.iter (fun ti -> fire (Runtime.transition rt ti)) ids;
-              Array.length ids > 0
-            end
-            else begin
-              let any = ref false in
-              Array.iter
-                (fun (tr : Fsa.transition) ->
-                  if Array.for_all2 Symbol.equal tr.read under then begin
-                    any := true;
-                    fire tr
-                  end)
-                (Runtime.outgoing rt n.fstate);
-              !any
-            end
-          in
-          if (not fired) && Fsa.is_final a n.fstate then emit n
-        end)
-  done;
-  Hashtbl.fold (fun tup () acc -> tup :: acc) results [] |> List.sort compare
 
-let accepted_fast a ~max_len = enumerate (Runtime.index a) a ~max_len
+  let add s k =
+    let fresh = insert s.keys s.stamps s.gen k in
+    if fresh then begin
+      s.count <- s.count + 1;
+      if 2 * s.count >= Array.length s.keys then begin
+        let n = 2 * Array.length s.keys in
+        let keys = Array.make n 0 and stamps = Array.make n 0 in
+        Array.iteri
+          (fun i st -> if st = s.gen then ignore (insert keys stamps s.gen s.keys.(i)))
+          s.stamps;
+        s.keys <- keys;
+        s.stamps <- stamps
+      end
+    end;
+    fresh
+end
+
+(* The walk over [a] with its dispatch index [rt].  With [first] it
+   stops at the first accepting node and answers one tuple of it. *)
+let walk rt (a : Fsa.t) ~max_len ~first =
+  if max_len < 0 then invalid_arg "Generate.accepted: negative bound";
+  let k = a.arity in
+  match
+    if Runtime.indexable rt then Runtime.layout a (Array.make k max_len) else None
+  with
+  | None ->
+      (match accepted_naive a ~max_len with t :: _ when first -> [ t ] | all -> all)
+  | Some l ->
+      let sz = Strdb_util.Alphabet.size a.sigma in
+      let chars = Array.of_list (Strdb_util.Alphabet.chars a.sigma) in
+      let states = l.states and dim = max_len + 2 in
+      let rend = sz + 1 in
+      let rank = function
+        | Symbol.Chr c -> Strdb_util.Alphabet.rank a.sigma c
+        | Symbol.Lend -> sz
+        | Symbol.Rend -> rend
+      in
+      (* Runtime's symbol-vector code: Σᵢ rank(sᵢ)·(|Σ|+2)ⁱ. *)
+      let wts = Array.make k 1 in
+      for i = 1 to k - 1 do
+        wts.(i) <- wts.(i - 1) * (sz + 2)
+      done;
+      (* Firing transition t adds tdelta.(t) to a packed key. *)
+      let tdelta =
+        Array.map
+          (fun (tr : Fsa.transition) ->
+            let d = ref (tr.dst - tr.src) in
+            Array.iteri (fun i m -> d := !d + (m * l.steps.(i))) tr.moves;
+            !d)
+          a.transitions
+      in
+      (* reads.(q·k + i): the symbol ranks some transition out of q reads
+         on tape i, as a bitmask, or -1 (every symbol) over 62 ranks and
+         for a final state, where an unreadable square halts and accepts.
+         A child whose square no blocked configuration can read would die
+         at once, so it is not made. *)
+      let wide = sz + 2 > 62 in
+      let reads = Array.make (a.num_states * k) (if wide then -1 else 0) in
+      if not wide then
+        Array.iter
+          (fun (tr : Fsa.transition) ->
+            Array.iteri
+              (fun i s ->
+                let j = (tr.src * k) + i in
+                reads.(j) <- reads.(j) lor (1 lsl rank s))
+              tr.read)
+          a.transitions;
+      Array.iteri (fun j _ -> if a.finals.(j / k) then reads.(j) <- -1) reads;
+      let allowed m r = m = -1 || m land (1 lsl r) <> 0 in
+      (* The current node: each tape's committed ranks and length, and
+         the set of finished tapes as a bitmask. *)
+      let bufs = Array.init k (fun _ -> Bytes.create 16) in
+      let lens = Array.make k 0 and fin = ref 0 in
+      let commit t r =
+        let n = lens.(t) in
+        if n = Bytes.length bufs.(t) then begin
+          let b = Bytes.create (2 * n) in
+          Bytes.blit bufs.(t) 0 b 0 n;
+          bufs.(t) <- b
+        end;
+        Bytes.unsafe_set bufs.(t) n (Char.unsafe_chr r);
+        lens.(t) <- n + 1
+      in
+      let results = ref [] in
+      let prefix i = String.init lens.(i) (fun j -> chars.(Char.code (Bytes.get bufs.(i) j))) in
+      let emit () =
+        if first then results := [ List.init k prefix ]
+        else
+          let rec expand i acc =
+            if i < 0 then results := acc :: !results
+            else
+              let p = prefix i in
+              if !fin land (1 lsl i) <> 0 then expand (i - 1) (p :: acc)
+              else
+                List.iter
+                  (fun sfx -> expand (i - 1) ((p ^ sfx) :: acc))
+                  (Strdb_util.Strutil.all_strings_upto a.sigma (max_len - lens.(i)))
+          in
+          expand (k - 1) []
+      in
+      (* A frame is a pending child: the branching tape and the rank
+         committed there, the parent's blocked segment in [seeds], and
+         the parent's finished set and lengths. *)
+      let fw = 5 + k in
+      let frames = Vec.create () and seeds = Vec.create () and work = Vec.create () in
+      let set = Stamped.create () in
+      let blocked = Array.init k (fun _ -> Vec.create ()) and masks = Array.make k 0 in
+      let push_frame t r lo hi =
+        Vec.push frames t;
+        Vec.push frames r;
+        Vec.push frames lo;
+        Vec.push frames hi;
+        Vec.push frames !fin;
+        Array.iter (Vec.push frames) lens
+      in
+      Vec.push seeds a.start;
+      push_frame (-1) 0 0 1;
+      let stop = ref false in
+      while frames.n > 0 && not !stop do
+        let f = frames.n - fw in
+        frames.n <- f;
+        let fr = frames.a in
+        let t = fr.(f) and r = fr.(f + 1) and lo = fr.(f + 2) and hi = fr.(f + 3) in
+        fin := fr.(f + 4);
+        Array.blit fr (f + 5) lens 0 k;
+        if t >= 0 then if r = rend then fin := !fin lor (1 lsl t) else commit t r;
+        (* Everything above the segment belongs to finished frames. *)
+        seeds.n <- hi;
+        Stamped.clear set;
+        work.n <- 0;
+        for j = lo to hi - 1 do
+          let key = seeds.a.(j) in
+          if Stamped.add set key then Vec.push work key
+        done;
+        let accept = ref false in
+        while (not !accept) && work.n > 0 do
+          work.n <- work.n - 1;
+          let key = Array.unsafe_get work.a work.n in
+          let q = key mod states in
+          let rest = ref (key / states) and code = ref 0 and b = ref (-1) in
+          let i = ref 0 in
+          while !b < 0 && !i < k do
+            let ti = !i in
+            let p = !rest mod dim in
+            rest := !rest / dim;
+            if p = 0 then code := !code + (sz * wts.(ti))
+            else if p <= lens.(ti) then
+              code := !code + (Char.code (Bytes.unsafe_get bufs.(ti) (p - 1)) * wts.(ti))
+            else if !fin land (1 lsl ti) <> 0 then code := !code + (rend * wts.(ti))
+            else b := ti;
+            incr i
+          done;
+          let b = !b in
+          if b >= 0 then begin
+            Vec.push blocked.(b) key;
+            masks.(b) <- masks.(b) lor reads.((q * k) + b)
+          end
+          else begin
+            let trs = Runtime.transitions_for rt ~state:q ~code:!code in
+            if Array.length trs = 0 then begin
+              if a.finals.(q) then accept := true
+            end
+            else
+              for e = 0 to Array.length trs - 1 do
+                let succ = key + tdelta.(Array.unsafe_get trs e) in
+                if Stamped.add set succ then Vec.push work succ
+              done
+          end
+        done;
+        if !accept then begin
+          emit ();
+          if first then stop := true
+        end;
+        (* Branch on each tape with blocked configurations (none after
+           an accept), ⊣ last so that it is taken first. *)
+        for t = 0 to k - 1 do
+          let v = blocked.(t) and m = masks.(t) in
+          if v.n > 0 && not !accept then begin
+            let blo = seeds.n in
+            for j = 0 to v.n - 1 do
+              Vec.push seeds v.a.(j)
+            done;
+            let bhi = seeds.n in
+            if lens.(t) < max_len then
+              for c = 0 to sz - 1 do
+                if allowed m c then push_frame t c blo bhi
+              done;
+            if allowed m rend then push_frame t rend blo bhi
+          end;
+          v.n <- 0;
+          masks.(t) <- 0
+        done
+      done;
+      List.sort_uniq compare !results
+
+let accepted_fast a ~max_len = walk (Runtime.index a) a ~max_len ~first:false
 
 let accepted a ~max_len =
   if Runtime.enabled () then accepted_fast (Optimize.optimized a) ~max_len
@@ -369,12 +435,24 @@ let specialize_optimized (a, inputs) =
   let spec = Optimize.run (Specialize.specialize a inputs) in
   (spec, Runtime.index_uncached spec)
 
+(* The automaton [outputs] walks for a bound row, with its index. *)
+let specialized a inputs =
+  Strdb_util.Memo.find_or_add spec_cache (a, inputs) specialize_optimized
+
 let outputs a ~inputs ~max_len =
   if Runtime.enabled () then
-    let spec, rt =
-      Strdb_util.Memo.find_or_add spec_cache (a, inputs) specialize_optimized
-    in
-    enumerate rt spec ~max_len
+    let spec, rt = specialized a inputs in
+    walk rt spec ~max_len ~first:false
   else accepted_naive (Specialize.specialize a inputs) ~max_len
 
-let is_empty_upto a ~max_len = accepted a ~max_len = []
+let is_empty_upto ?(inputs = []) a ~max_len =
+  if not (Runtime.enabled ()) then
+    accepted_naive (Specialize.specialize a inputs) ~max_len = []
+  else
+    let spec, rt =
+      if inputs = [] then
+        let a = Optimize.optimized a in
+        (a, Runtime.index a)
+      else specialized a inputs
+    in
+    walk rt spec ~max_len ~first:true = []

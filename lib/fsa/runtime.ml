@@ -90,7 +90,6 @@ type t = {
   rend_rank : int;
   weights : int array;  (* weights.(i) = base^i *)
   vec_count : int;  (* base^arity, or 0 when that overflows the guard *)
-  outgoing : Fsa.transition array array;
   dense : int array array;  (* [state·vec_count + code] ↦ indices *)
   sparse : (int, int array) Hashtbl.t;
   use_dense : bool;
@@ -136,9 +135,6 @@ let build (a : Fsa.t) =
     end
   done;
   let vec_count = !vec_count in
-  let outgoing =
-    Array.init a.num_states (fun q -> Array.of_list (Fsa.outgoing a q))
-  in
   let rt =
     {
       fsa = a;
@@ -147,7 +143,6 @@ let build (a : Fsa.t) =
       rend_rank = sz + 1;
       weights;
       vec_count;
-      outgoing;
       dense = [||];
       sparse = Hashtbl.create 1;
       use_dense = false;
@@ -190,7 +185,6 @@ let transitions_for rt ~state ~code =
   else Option.value ~default:no_transitions (Hashtbl.find_opt rt.sparse key)
 
 let transition rt i = rt.fsa.Fsa.transitions.(i)
-let outgoing rt q = rt.outgoing.(q)
 
 (* ------------------------------------------------------------------ *)
 (* Index memo, keyed on the FSA's physical identity.  Compile's memo

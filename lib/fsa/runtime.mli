@@ -86,10 +86,6 @@ val transitions_for : t -> state:int -> code:int -> int array
 val transition : t -> int -> Fsa.transition
 (** Resolve a transition index. *)
 
-val outgoing : t -> int -> Fsa.transition array
-(** All transitions leaving a state, as a shared array (the array-backed
-    counterpart of [Fsa.outgoing]). *)
-
 (** {1 Packed configuration keys} *)
 
 type layout = {

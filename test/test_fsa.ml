@@ -201,6 +201,19 @@ let specialize_tests =
            with Invalid_argument _ -> true));
   ]
 
+(* A 2-FSA with two threads: one reads any x, then y = "a"; the other
+   reads any y, then x = "b".  Each starts blocked on its own tape. *)
+let two_threads () =
+  let tr src read dst moves = Fsa.transition ~src ~read ~dst ~moves in
+  let c x = Symbol.Chr x and l = Symbol.Lend and r = Symbol.Rend in
+  Fsa.make ~sigma:b ~arity:2 ~num_states:7 ~start:0 ~finals:[ 6 ]
+    ~transitions:
+      ([ tr 0 [ l; l ] 1 [ 1; 0 ]; tr 0 [ l; l ] 3 [ 0; 1 ] ]
+      @ List.map (fun x -> tr 1 [ c x; l ] 1 [ 1; 0 ]) [ 'a'; 'b' ]
+      @ [ tr 1 [ r; l ] 2 [ 0; 1 ]; tr 2 [ r; c 'a' ] 5 [ 0; 1 ] ]
+      @ List.map (fun x -> tr 3 [ l; c x ] 3 [ 0; 1 ]) [ 'a'; 'b' ]
+      @ [ tr 3 [ l; r ] 4 [ 1; 0 ]; tr 4 [ c 'b'; r ] 5 [ 1; 0 ]; tr 5 [ r; r ] 6 [ 0; 0 ] ])
+
 let generate_tests =
   [
     tc "generator enumerates the bounded language" (fun () ->
@@ -237,12 +250,96 @@ let generate_tests =
         let phi = Sformula.left [ "x" ] (Window.Is_char ("x", 'a')) in
         let fsa = Compile.compile b ~vars:[ "x" ] phi in
         let got = Generate.accepted fsa ~max_len:2 in
-        check_tuples "a, aa, ab" [ [ "a" ]; [ "aa" ]; [ "ab" ] ] got);
+        check_tuples "a, aa, ab" [ [ "a" ]; [ "aa" ]; [ "ab" ] ] got;
+        (* On two output tapes, each completed within the bound — as the
+           accepted set and, with a bound first tape, as a generator's
+           outputs. *)
+        let window = Window.And (Window.Is_char ("x", 'a'), Window.Is_char ("y", 'b')) in
+        let phi = Sformula.left [ "x"; "y" ] window in
+        let want =
+          List.concat_map
+            (fun x -> List.map (fun y -> [ x; y ]) [ "b"; "ba"; "bb" ])
+            [ "a"; "aa"; "ab" ]
+        in
+        check_tuples "accepted" want
+          (Generate.accepted (Compile.compile b ~vars:[ "x"; "y" ] phi) ~max_len:2);
+        let fsa = Compile.compile b ~vars:[ "z"; "x"; "y" ] phi in
+        check_tuples "outputs" want (Generate.outputs fsa ~inputs:[ "ab" ] ~max_len:2));
+    tc "configurations blocked on two output tapes at once" (fun () ->
+        (* x = y reads both tapes in lockstep, so one configuration sits
+           on both frontiers; the union starts a thread on each tape, so
+           one node holds configurations blocked on different tapes. *)
+        List.iter
+          (fun phi ->
+            let fsa = Compile.compile b ~vars:[ "x"; "y" ] phi in
+            let want =
+              List.filter (fun t -> Run.accepts fsa t) (all_tuples b ~arity:2 ~max_len:3)
+              |> List.sort compare
+            in
+            check_tuples (Sformula.to_string phi) want (Generate.accepted fsa ~max_len:3);
+            check_tuples "naive" want (Generate.accepted_naive fsa ~max_len:3))
+          [
+            Combinators.equal_s "x" "y";
+            Sformula.Union
+              ( Sformula.seq [ Combinators.literal "x" "ab"; Sformula.left [ "y" ] (Window.Is_char ("y", 'b')) ],
+                Sformula.seq [ Combinators.literal "y" "a"; Sformula.left [ "x" ] (Window.Is_empty "x") ] );
+          ]);
+    tc "threads on different tapes do not multiply" (fun () ->
+        (* Two threads: one writes any x and then requires y = "a", the
+           other writes any y and then requires x = "b".  Carried through
+           each other's branching, each thread would re-run its whole
+           subtree under every leaf of the other's: 2¹³ × 2¹³ nodes at
+           this bound.  Branching per blocked tape keeps the work near
+           the 16381 answers. *)
+        let fsa = two_threads () in
+        let max_len = 12 in
+        let words = Strutil.all_strings_upto b max_len in
+        let want =
+          List.map (fun w -> [ w; "a" ]) words @ List.map (fun w -> [ "b"; w ]) words
+          |> List.sort_uniq compare
+        in
+        let before = Sys.time () in
+        let got = Generate.accepted_fast fsa ~max_len in
+        let seconds = Sys.time () -. before in
+        check_tuples "both threads' answers" want got;
+        (* About 0.03 s of CPU time on a 2-core x86-64 host.  Carrying
+           the threads took 2 s at bound 10, growing fourfold per
+           letter. *)
+        if seconds > 2. then
+          Alcotest.failf "the walk took %.1f s of CPU time for %d answers" seconds
+            (List.length want));
+    tc "a long output under a huge bound allocates little" (fun () ->
+        (* A 22-letter concatenation under a bound of 10⁶: scratch sized
+           by the bound would allocate megabytes. *)
+        let fsa = Compile.compile b ~vars:[ "y"; "z"; "x" ] (Combinators.concat3 "x" "y" "z") in
+        let u = "abbabaabbab" and v = "babbaabbaba" in
+        let max_len = 1_000_000 in
+        ignore (Generate.outputs fsa ~inputs:[ u; v ] ~max_len);
+        let before = Gc.allocated_bytes () in
+        let got = Generate.outputs fsa ~inputs:[ u; v ] ~max_len in
+        let bytes = Gc.allocated_bytes () -. before in
+        check_tuples "the concatenation" [ [ u ^ v ] ] got;
+        if bytes >= 1e6 then Alcotest.failf "enumeration allocated %.0f bytes" bytes);
     tc "is_empty_upto" (fun () ->
         check_bool "zero empty" true
           (Generate.is_empty_upto (Compile.compile b ~vars:[ "x" ] Sformula.zero) ~max_len:3);
         check_bool "lambda nonempty" false
-          (Generate.is_empty_upto (Compile.compile b ~vars:[ "x" ] Sformula.Lambda) ~max_len:0));
+          (Generate.is_empty_upto (Compile.compile b ~vars:[ "x" ] Sformula.Lambda) ~max_len:0);
+        let concat = Compile.compile b ~vars:[ "y"; "z"; "x" ] (Combinators.concat3 "x" "y" "z") in
+        check_bool "abba within 4" false
+          (Generate.is_empty_upto concat ~inputs:[ "ab"; "ba" ] ~max_len:4);
+        check_bool "abba over 3" true
+          (Generate.is_empty_upto concat ~inputs:[ "ab"; "ba" ] ~max_len:3);
+        (* (a+c+g+t)* over DNA at bound 14: the walk stops at its first
+           answer instead of enumerating 4¹⁴ strings of length 14. *)
+        let dna = Alphabet.dna in
+        let any = Compile.compile dna ~vars:[ "x" ] (Sformula.Star (Sformula.left [ "x" ] Window.True)) in
+        ignore (Generate.is_empty_upto any ~max_len:1);
+        let before = Gc.minor_words () in
+        check_bool "(a+c+g+t)* nonempty" false (Generate.is_empty_upto any ~max_len:14);
+        let words_allocated = Gc.minor_words () -. before in
+        if words_allocated > 1e5 then
+          Alcotest.failf "is_empty_upto allocated %.0f words" words_allocated);
   ]
 
 let suites =

@@ -237,6 +237,11 @@ let runtime_props =
       (fun phi ->
         let fsa = Compile.compile b ~vars:[ "x"; "y" ] phi in
         Generate.accepted_fast fsa ~max_len:2 = Generate.accepted_naive fsa ~max_len:2);
+    prop ~count:40 "runtime enumerator ≡ naive enumerator on three tapes"
+      (arb_sformula [ "x"; "y"; "z" ])
+      (fun phi ->
+        let fsa = Compile.compile b ~vars:[ "x"; "y"; "z" ] phi in
+        Generate.accepted_fast fsa ~max_len:2 = Generate.accepted_naive fsa ~max_len:2);
     prop ~count:25 "Query pipeline agrees with the runtime disabled"
       (arb_sformula [ "u"; "x" ])
       (fun s ->
@@ -251,6 +256,42 @@ let runtime_props =
             Runtime.set_enabled true;
             let fast = Eval.run b db ~free phi in
             slow = fast));
+  ]
+
+(* A generator row: a formula over x, y, z with its first [bound]
+   tapes fixed to random strings.  Right windows are kept only where the
+   compiled automaton stays right-restricted, the decidable subclass
+   generators are certified over. *)
+let arb_gen_row ~allow_right ~bound =
+  QCheck.make
+    ~print:(fun (phi, ins) ->
+      Printf.sprintf "%s on %s" (Sformula.to_string phi)
+        (String.concat ", " (List.map (Printf.sprintf "%S") ins)))
+    QCheck.Gen.(
+      pair (gen_sformula ~allow_right [ "x"; "y"; "z" ]) (list_repeat bound gen_string))
+
+let generate_props =
+  let vars = [ "x"; "y"; "z" ] in
+  let agrees ~allow_right ~bound ~what name =
+    prop_witnessed ~count:60 ~what name (arb_gen_row ~allow_right ~bound)
+      (fun witness (phi, ins) ->
+        let fsa = Compile.compile b ~vars phi in
+        QCheck.assume (Fsa.is_right_restricted fsa);
+        (* Two output tapes enumerate Σ^≤2 each; one enumerates Σ^≤3. *)
+        let max_len = if bound = 1 then 2 else 3 in
+        let got = Generate.outputs fsa ~inputs:ins ~max_len in
+        if got <> [] then witness ();
+        got = Generate.accepted_naive (Specialize.specialize fsa ins) ~max_len)
+  in
+  [
+    agrees ~allow_right:false ~bound:1 ~what:"with an answer on two output tapes"
+      "one-way, one bound tape: outputs ≡ naive on the specialisation";
+    agrees ~allow_right:false ~bound:2 ~what:"with an answer"
+      "one-way, two bound tapes: outputs ≡ naive on the specialisation";
+    agrees ~allow_right:true ~bound:1 ~what:"with an answer on two output tapes"
+      "right-restricted, one bound tape: outputs ≡ naive on the specialisation";
+    agrees ~allow_right:true ~bound:2 ~what:"with an answer"
+      "right-restricted, two bound tapes: outputs ≡ naive on the specialisation";
   ]
 
 let parallel_props =
@@ -388,6 +429,7 @@ let suites =
     ("qcheck.compile", compile_props);
     ("qcheck.run", run_props);
     ("qcheck.runtime", runtime_props);
+    ("qcheck.generate", generate_props);
     ("qcheck.parallel", parallel_props);
     ("qcheck.baselines", baseline_props);
     ("qcheck.alignment", alignment_props);

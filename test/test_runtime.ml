@@ -424,6 +424,32 @@ let generate_tests =
             ([ "x"; "y" ], Combinators.prefix "x" "y");
             ([ "x"; "y" ], Combinators.manifold "x" "y");
           ]);
+    tc "a concat generator answers alike on 4 domains and on 1" (fun () ->
+        (* Each bound row walks on whichever domain takes it, so walks
+           run concurrently; scratch shared between them would mix
+           rows' prefixes. *)
+        let db = Workload.pair_db dna ~seed:5 ~name:"pair" ~n:200 ~len:24 in
+        let phi =
+          Formula.And
+            (Formula.Rel ("pair", [ "u"; "v" ]), Formula.Str (Combinators.concat3 "x" "u" "v"))
+        in
+        let free = [ "u"; "v"; "x" ] in
+        let want =
+          List.map (fun row -> match row with [ u; v ] -> [ u; v; u ^ v ] | _ -> row)
+            (Database.find db "pair")
+          |> List.sort_uniq compare
+        in
+        let run domains =
+          Generate.clear_spec_cache ();
+          match Eval.run ~domains dna db ~free phi with
+          | Ok rows -> rows
+          | Error e -> Alcotest.failf "query rejected: %s" e
+        in
+        check_tuples "1 domain" want (run 1);
+        (* Rows interleave differently on every run: repeat it. *)
+        for _ = 1 to 3 do
+          check_tuples "4 domains" want (run 4)
+        done);
   ]
 
 let suites =
