@@ -32,7 +32,17 @@ let rec quantifier_free = function
 (* A working table: the bound columns (variable names, in order), rows
    as arrays — every per-cell access is an O(1) [row.(i)] instead of the
    former [List.nth] — and a precomputed column→index map so resolving a
-   variable is a hash probe, not an O(cols) scan per cell access. *)
+   variable is a hash probe, not an O(cols) scan per cell access.
+
+   Invariant: every step's rows are duplicate-free.  The pipeline starts
+   from one empty row.  A join with a relation keeps it, because the
+   relation is a set (Section 2; [Database.add] sorts and dedups it,
+   and a σ-index probe selects distinct row ids) and each output row
+   determines its tuple: bound columns, new columns and repeated
+   variables checked equal.  A generator keeps it, because
+   [Generate.outputs] is a set per row.  Filters and negations only drop
+   rows.  So only the final projection onto the free variables, when it
+   drops a column, can create duplicates, and only it dedups. *)
 type table = {
   cols : F.var list;
   index : (F.var, int) Hashtbl.t;
@@ -69,10 +79,8 @@ let row_key (r : string array) =
     r;
   Buffer.contents b
 
-(* Hash-based dedup (first occurrence wins): replaces the former
-   per-join [List.sort_uniq] full sort, O(n log n) with a polymorphic
-   compare per element, with expected O(n).  The final projection still
-   sorts, so query results keep their canonical order. *)
+(* Hash-based dedup, first occurrence wins.  The table invariant makes
+   it redundant on the execute path; it is the invariant's test oracle. *)
 let dedup_rows rows =
   let seen = Hashtbl.create 64 in
   List.filter
@@ -138,7 +146,7 @@ let join_rel ?tuples db t (r, args) =
         List.rev_map (fun news -> Array.append row news) (Hashtbl.find_all tbl key))
       t.rows
   in
-  mk_table (t.cols @ new_vars) (dedup_rows rows)
+  mk_table (t.cols @ new_vars) rows
 
 (* Evaluate a quantifier-free formula on one row. *)
 let rec eval_qf db checker t row = function
@@ -647,7 +655,7 @@ let execute_unsafe pool (p : Plan.t) =
                 |> List.map (fun out -> Array.append row (Array.of_list out)))
               !t.rows
           in
-          t := mk_table (!t.cols @ unknown) (dedup_rows rows)
+          t := mk_table (!t.cols @ unknown) rows
       | Plan.NegFilter c ->
           t :=
             { !t with
@@ -659,7 +667,20 @@ let execute_unsafe pool (p : Plan.t) =
     p.Plan.steps;
   let free_idx = List.map (fun v -> Option.get (col_index !t v)) p.Plan.free in
   let project row = List.map (fun i -> row.(i)) free_idx in
-  List.sort_uniq compare (List.map project !t.rows)
+  let rows = List.map project !t.rows in
+  (* The same order as [compare] on string lists, without its
+     polymorphic dispatch. *)
+  let cmp = List.compare String.compare in
+  let rec strictly_sorted = function
+    | a :: (b :: _ as rest) -> cmp a b < 0 && strictly_sorted rest
+    | _ -> true
+  in
+  if strictly_sorted rows then rows
+  else if
+    (* Keeping every column is injective, so the rows stay distinct. *)
+    List.length (List.sort_uniq Int.compare free_idx) = List.length !t.cols
+  then List.sort cmp rows
+  else List.sort_uniq cmp rows
 
 let execute ?(pool = Pool.sequential) plan =
   guard (fun () -> Ok (execute_unsafe pool plan))

@@ -17,6 +17,12 @@
     + finally apply quantifier-free negated conjuncts as filters and
       project onto the free variables.
 
+    The working table is a set at every step.  Relations are sets
+    (Section 2), a join with one maps distinct rows to distinct rows, a
+    generator emits a set of outputs per row, and filters and negations
+    only drop rows; so no step deduplicates, and only the final
+    projection does, when it drops a column.
+
     Every step is justified by a theorem of the paper; a query outside the
     fragment, or whose variables cannot all be bound, is rejected with an
     explanation (use {!Safety.evaluate_truncated} for those).
@@ -40,7 +46,10 @@ val run :
   Strdb_calculus.Formula.t ->
   (Strdb_calculus.Database.tuple list, string) result
 (** Evaluate; answer columns follow [free] (which must list the free
-    variables).  Sorted, duplicate-free.
+    variables).  Sorted, duplicate-free: every step's rows are
+    duplicate-free, so the answer is sorted only when the projected rows
+    are not already strictly sorted, and deduplicated only when [free]
+    drops a column.
 
     [domains] spreads the per-row work — σ_A acceptance filters and
     per-bound-tuple generator expansion — over a shared
@@ -79,7 +88,11 @@ val execute :
   Plan.t ->
   (Strdb_calculus.Database.tuple list, string) result
 (** Replay a prepared plan over the database it captured.  Answer
-    columns follow the plan's [free] list; sorted, duplicate-free.
+    columns follow the plan's [free] list; sorted, duplicate-free.  No
+    step deduplicates (see {!run}), which relies on every [Join]'s
+    [tuples] being duplicate-free, as {!prepare} makes them; so with
+    [free] set to every column the steps bind, a plan returns its rows
+    as they are, sorted.
     [pool] (default sequential) spreads the per-row filter and
     generator work, exactly as [run ~domains] does.  For every query,
     [prepare] followed by [execute] returns what {!run} returns —
@@ -91,8 +104,10 @@ val dedup_rows : string array list -> string array list
 (** Expected-O(n) row dedup on an explicit injective string key
     (length-prefixed concatenation — the polymorphic hash only samples
     a bounded prefix of a row, which collapses wide rows with repeated
-    early columns onto one bucket).  First occurrence wins.  Exposed
-    for the degradation-guard test. *)
+    early columns onto one bucket).  First occurrence wins.  Not on the
+    execute path, which the table invariant makes duplicate-free: it is
+    the invariant's test oracle ([rows = dedup_rows rows] at every plan
+    prefix). *)
 
 type plan_step = Plan.plan_step =
   | Scan of string  (** join a relational atom. *)

@@ -40,7 +40,9 @@ type exec_step =
       args : Strdb_calculus.Formula.var list;
       tuples : Strdb_calculus.Database.tuple list option;
           (** [Some survivors] when a σ-index probe pruned the scan at
-              plan time; [None] scans the relation. *)
+              plan time; [None] scans the relation.  The survivors are a
+              duplicate-free sub-list of the relation: the join relies
+              on it to keep the working table duplicate-free. *)
     }
   | FilterFsa of {
       fsa : Strdb_fsa.Fsa.t;

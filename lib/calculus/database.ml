@@ -4,8 +4,12 @@ exception Schema_error of string
 
 module SM = Map.Make (String)
 
-type relation = { arity : int; tuples : tuple list }
+(* [sorted] holds [tuples] as an array, for binary-search membership. *)
+type relation = { arity : int; tuples : tuple list; sorted : tuple array }
 type t = relation SM.t
+
+(* The order [compare] gives tuples, without its polymorphic dispatch. *)
+let compare_tuple = List.compare String.compare
 
 let empty = SM.empty
 
@@ -18,7 +22,8 @@ let add db r ~arity tuples =
              (Printf.sprintf "relation %s: tuple of length %d, expected %d" r
                 (List.length tup) arity)))
     tuples;
-  SM.add r { arity; tuples = List.sort_uniq compare tuples } db
+  let tuples = List.sort_uniq compare_tuple tuples in
+  SM.add r { arity; tuples; sorted = Array.of_list tuples } db
 
 let of_list bindings =
   List.fold_left
@@ -34,7 +39,18 @@ let get db r =
 
 let find db r = (get db r).tuples
 let arity db r = (get db r).arity
-let mem db r tup = List.mem tup (get db r).tuples
+
+let mem db r tup =
+  let a = (get db r).sorted in
+  let rec search lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let c = compare_tuple tup a.(mid) in
+    c = 0 || if c < 0 then search lo mid else search (mid + 1) hi
+  in
+  search 0 (Array.length a)
+
 let relations db = SM.bindings db |> List.map (fun (r, rel) -> (r, rel.arity))
 
 let max_string_length db =

@@ -33,7 +33,8 @@ val arity : t -> string -> int
 (** The arity of a relation.  @raise Schema_error when unbound. *)
 
 val mem : t -> string -> tuple -> bool
-(** Membership test. *)
+(** Membership test: a binary search of the sorted relation, O(log |R|)
+    tuple comparisons. *)
 
 val relations : t -> (string * int) list
 (** The bound relation symbols with their arities, sorted by name. *)

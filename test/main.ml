@@ -12,4 +12,4 @@ let () =
    @ Test_safety.suites @ Test_encodings.suites @ Test_temporal.suites
    @ Test_workload.suites @ Test_store.suites @ Test_queries.suites
    @ Test_sparser.suites
-   @ Test_qcheck.suites @ Test_plan.suites @ Test_server.suites)
+   @ Test_qcheck.suites @ Test_table.suites @ Test_plan.suites @ Test_server.suites)

@@ -414,6 +414,36 @@ let store_props =
             indexed = plain && toggled = plain));
   ]
 
+(* Random relations of arity 0–2 (possibly empty) and an empty one of
+   the same arity, probed with every stored tuple and with random
+   tuples, most of them absent. *)
+let arb_relation_probes =
+  let open QCheck.Gen in
+  let short = string_size ~gen:gen_char (int_bound 2) in
+  QCheck.make
+    ~print:(fun (_, tuples, probes) ->
+      let show ts = String.concat " " (List.map (Strdb_util.Pretty.to_string Strdb_util.Pretty.tuple) ts) in
+      Printf.sprintf "relation: %s; probes: %s" (show tuples) (show probes))
+    ( int_bound 2 >>= fun arity ->
+      triple (return arity)
+        (list_size (int_bound 6) (list_repeat arity short))
+        (list_size (int_bound 4) (list_repeat arity short)) )
+
+let database_props =
+  [
+    prop_witnessed ~what:"probing a non-empty relation for an absent tuple"
+      "Database.mem ≡ List.mem over Database.find" arb_relation_probes
+      (fun absent (arity, tuples, probes) ->
+        let db = Database.add (Database.add Database.empty "r" ~arity tuples) "e" ~arity [] in
+        let stored = Database.find db "r" in
+        List.for_all
+          (fun t ->
+            let expected = List.mem t stored in
+            if (not expected) && stored <> [] then absent ();
+            Database.mem db "r" t = expected && not (Database.mem db "e" t))
+          (stored @ probes));
+  ]
+
 let parser_props =
   [
     prop ~count:80 "printer/parser round trip preserves semantics"
@@ -435,5 +465,6 @@ let suites =
     ("qcheck.alignment", alignment_props);
     ("qcheck.truncation", truncation_props);
     ("qcheck.store", store_props);
+    ("qcheck.database", database_props);
     ("qcheck.parser", parser_props);
   ]
