@@ -553,7 +553,12 @@ let prepare_unsafe ?store sigma db ~free phi =
                            if pushed = [] then
                              annotate sigma ~vars:gen_frame ~kernel:`Generate s
                            else annotate_fsa ~kernel:`Generate fsa ));
-                    emit (Plan.Gen { fsa; known; unknown; bound = b });
+                    (* Each row specialises (Lemma 3.1) the merged
+                       automaton, not the compiled one: the product
+                       grows with |Q|. *)
+                    emit
+                      (Plan.Gen
+                         { fsa = Strdb_fsa.Run.optimize fsa; known; unknown; bound = b });
                     extend unknown;
                     remaining :=
                       List.filter

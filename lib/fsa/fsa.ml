@@ -149,6 +149,10 @@ let useful_states t =
   let fwd = forward_reachable t and bwd = reverse_reachable t in
   Array.init t.num_states (fun q -> fwd.(q) && bwd.(q))
 
+(* A transition from a final state into a useless state is what keeps
+   that final state from halting, so it cannot simply be dropped: it is
+   redirected to one rejecting sink, numbered last.  Every other
+   transition into a useless state is dropped. *)
 let trim t =
   let useful = useful_states t in
   useful.(t.start) <- true;
@@ -160,17 +164,24 @@ let trim t =
       incr next
     end
   done;
+  let sink = !next in
   let transitions =
     Array.to_list t.transitions
     |> List.filter_map (fun tr ->
-           if useful.(tr.src) && useful.(tr.dst) then
+           if not useful.(tr.src) then None
+           else if useful.(tr.dst) then
              Some { tr with src = remap.(tr.src); dst = remap.(tr.dst) }
+           else if t.finals.(tr.src) then
+             Some { tr with src = remap.(tr.src); dst = sink }
            else None)
+  in
+  let num_states =
+    if List.exists (fun tr -> tr.dst = sink) transitions then sink + 1 else sink
   in
   let finals =
     finals_list t |> List.filter (fun q -> useful.(q)) |> List.map (fun q -> remap.(q))
   in
-  make ~sigma:t.sigma ~arity:t.arity ~num_states:!next ~start:remap.(t.start)
+  make ~sigma:t.sigma ~arity:t.arity ~num_states ~start:remap.(t.start)
     ~finals ~transitions
 
 let union_states a b =

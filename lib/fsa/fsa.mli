@@ -88,7 +88,14 @@ val useful_states : t -> bool array
 
 val trim : t -> t
 (** Restrict to useful states (the start state is always kept, possibly as a
-    lone rejecting state when the language is empty). *)
+    lone rejecting state when the language is empty), preserving the
+    accepted language under halting acceptance.  A transition from a
+    final state into a useless state is what keeps that final state from
+    halting, so it is redirected to one rejecting sink state, numbered
+    last and added only when some transition needs it; every other
+    transition into a useless state is dropped.  The sink replaces at
+    least one dropped state, so trimming never adds states or
+    transitions. *)
 
 val reverse_reachable : t -> bool array
 (** States from which some final state is reachable in the transition

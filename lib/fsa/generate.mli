@@ -49,6 +49,10 @@ val outputs : Fsa.t -> inputs:string list -> max_len:int -> string list list
     (Lemma 3.1) and enumerates the accepted contents of the remaining
     tapes, each bounded by [max_len]; sorted.
 
+    The product grows with [a]'s state count, so the query pipeline
+    passes the optimized automaton: a plan's [Gen] step carries
+    {!Run.optimize} of its conjunct.
+
     With the {!Runtime} enabled, the specialized product is run through
     [Optimize.run] (trimming usually collapses it drastically) and the
     result is memoized with its private dispatch index on [(a, inputs)]

@@ -1,9 +1,10 @@
 (* The automaton optimization pipeline: runs between Compile.compile and
    the Runtime index.  Three language-preserving rewrites —
    dead/unreachable-state trimming, stay-transition elimination and
-   equivalent-state merging by partition refinement — plus the Section 5
-   shape analysis (unidirectional / right-restricted / general) that the
-   Runtime uses to dispatch between acceptance kernels.
+   equivalent-state merging by forward and backward partition refinement
+   — plus the Section 5 shape analysis (unidirectional / right-restricted
+   / general) that the Runtime uses to dispatch between acceptance
+   kernels.
 
    Soundness is subtle because acceptance is by *halting*: a tuple is
    accepted iff some reachable configuration is in a final state with no
@@ -133,7 +134,12 @@ let stay_elim_round (a : Fsa.t) =
 let stay_elim (a : Fsa.t) =
   let budget = 2 * Fsa.size a in
   (* Compositions can cascade (and, in pathological automata, cycle);
-     every round is independently sound, so a bounded fixpoint is safe. *)
+     every round is independently sound, so a bounded fixpoint is safe.
+     Compiled and merged automata usually have no stay transition into a
+     non-final state, so they skip even the first round's table. *)
+  let eliminable (tr : Fsa.transition) =
+    Fsa.is_stationary tr && not a.Fsa.finals.(tr.Fsa.dst)
+  in
   let rec go a rounds =
     if rounds = 0 then a
     else
@@ -146,58 +152,93 @@ let stay_elim (a : Fsa.t) =
                ~finals:(Fsa.finals_list a) ~transitions:trs)
             (rounds - 1)
   in
-  go a (a.Fsa.num_states + 4)
+  if Array.exists eliminable a.Fsa.transitions then go a (a.Fsa.num_states + 4)
+  else a
 
 (* --------------------------------------------- equivalent-state merging *)
 
-(* Coarsest bisimulation by Moore-style partition refinement: start from
+(* Two dual refinements, one routine.  [Forward] is Moore's: start from
    the finality partition and split blocks by their outgoing signature
-   {(read, moves, block of dst)} until stable.  Bisimilar states have
-   identical finality and, observation by observation, identical enabled
-   sets into identical blocks — so merging them preserves both
-   reachability and haltingness, hence acceptance. *)
-let merge (a : Fsa.t) =
+   {(read, moves, block of dst)}.  Bisimilar states have identical
+   finality and, observation by observation, identical enabled sets into
+   identical blocks — so merging them preserves both reachability and
+   haltingness, hence acceptance.
+
+   [Backward] splits by the incoming signature {(read, moves, block of
+   src)}, starting with the start state and each final state in a block
+   of its own.  Every run of the quotient lifts to a run of the original
+   with the same head positions: going backwards from the run's last
+   state, each quotient transition [r] → [p] has, for every member of
+   [p], a source in [r] with the same read and moves, and the lift ends
+   in the start block, which holds only the start state.  So a
+   configuration is reachable in the quotient exactly when every member
+   of its block is reachable at those positions in the original.  Final
+   blocks being singletons, a final configuration halts in one automaton
+   exactly when it halts in the other.  This is what collapses
+   Theorem 3.1's window guesses: an atomic enters one arrival state per
+   window its test allows, all with the same incoming moves. *)
+type direction = Forward | Backward
+
+let refine dir (a : Fsa.t) =
   let n = a.Fsa.num_states in
-  if n <= 1 then a
-  else begin
-    let block = Array.init n (fun q -> if a.Fsa.finals.(q) then 1 else 0) in
-    let count = ref 0 in
-    let stable = ref false in
-    while not !stable do
-      let tbl = Hashtbl.create (2 * n) in
-      let next = ref 0 in
-      let newblock = Array.make n 0 in
-      for q = 0 to n - 1 do
-        let outs =
-          List.map
-            (fun i ->
-              let tr = a.Fsa.transitions.(i) in
-              ( Array.to_list tr.Fsa.read,
-                Array.to_list tr.Fsa.moves,
-                block.(tr.Fsa.dst) ))
-            a.Fsa.by_src.(q)
-          |> List.sort_uniq compare
-        in
-        let sg = (block.(q), outs) in
-        newblock.(q) <-
-          (match Hashtbl.find_opt tbl sg with
-          | Some b -> b
-          | None ->
-              let b = !next in
-              incr next;
-              Hashtbl.add tbl sg b;
-              b)
-      done;
-      (* The signature includes the old block, so the partition only ever
-         refines; an unchanged block count means a fixpoint. *)
-      if !next = !count then stable := true
-      else begin
-        count := !next;
-        Array.blit newblock 0 block 0 n
-      end
+  (* (read, moves) interned once; an edge's signature entry is then one
+     int, its label times [n + 1] plus the block at its other end. *)
+  let labels = Hashtbl.create 64 in
+  let edges = Array.make n [] in
+  Array.iter
+    (fun (tr : Fsa.transition) ->
+      let key = (tr.Fsa.read, tr.Fsa.moves) in
+      let l =
+        match Hashtbl.find_opt labels key with
+        | Some l -> l
+        | None ->
+            let l = Hashtbl.length labels in
+            Hashtbl.add labels key l;
+            l
+      in
+      match dir with
+      | Forward -> edges.(tr.Fsa.src) <- (l, tr.Fsa.dst) :: edges.(tr.Fsa.src)
+      | Backward -> edges.(tr.Fsa.dst) <- (l, tr.Fsa.src) :: edges.(tr.Fsa.dst))
+    a.Fsa.transitions;
+  let block =
+    Array.init n (fun q ->
+        match dir with
+        | Forward -> Bool.to_int a.Fsa.finals.(q)
+        | Backward -> if q = a.Fsa.start || a.Fsa.finals.(q) then q + 1 else 0)
+  in
+  (* The signature leads with the old block, so the partition only ever
+     refines; an unchanged block count means a fixpoint. *)
+  let rec go count =
+    let tbl = Hashtbl.create (2 * n) in
+    let next = Array.make n 0 in
+    for q = 0 to n - 1 do
+      let sg =
+        block.(q)
+        :: List.sort_uniq Int.compare
+             (List.map (fun (l, o) -> (l * (n + 1)) + block.(o)) edges.(q))
+      in
+      next.(q) <-
+        (match Hashtbl.find_opt tbl sg with
+        | Some b -> b
+        | None ->
+            let b = Hashtbl.length tbl in
+            Hashtbl.add tbl sg b;
+            b)
     done;
-    if !count = n then a
-    else begin
+    Array.blit next 0 block 0 n;
+    if Hashtbl.length tbl = count then count else go (Hashtbl.length tbl)
+  in
+  let count = go (-1) in
+  (block, count)
+
+(* The quotient by [dir]'s coarsest bisimulation, or [None] when it
+   merges nothing. *)
+let merge dir (a : Fsa.t) =
+  if a.Fsa.num_states <= 1 then None
+  else
+    let block, count = refine dir a in
+    if count = a.Fsa.num_states then None
+    else
       let finals =
         Fsa.finals_list a |> List.map (fun q -> block.(q))
         |> List.sort_uniq compare
@@ -208,25 +249,45 @@ let merge (a : Fsa.t) =
                { tr with Fsa.src = block.(tr.Fsa.src); dst = block.(tr.Fsa.dst) })
         |> List.sort_uniq compare
       in
-      remake a ~num_states:!count ~start:block.(a.Fsa.start) ~finals
-        ~transitions
-    end
-  end
+      Some (remake a ~num_states:count ~start:block.(a.Fsa.start) ~finals ~transitions)
+
+(* Forward first, then backward; a quotient is stable in the direction
+   that made it, so the directions alternate only while the last pass
+   merged something. *)
+let merge_both a =
+  let rec alternate dir a =
+    match merge dir a with
+    | None -> a
+    | Some a' -> alternate (if dir = Forward then Backward else Forward) a'
+  in
+  alternate Backward (Option.value (merge Forward a) ~default:a)
 
 (* ------------------------------------------------------------------ *)
 (* The pipeline.  [run] is pure and total; it never worsens the
    (states, transitions) cost — if a pass sequence ends up larger (the
    stay-elimination compositions can, in principle) the smaller input
-   wins. *)
+   wins.
+
+   A round eliminates stay transitions, trims the states elimination
+   cuts off (they would otherwise count as sources in backward
+   signatures) and merges.  Merging can leave new stay transitions to eliminate, so
+   rounds repeat while one shrinks the automaton — but a merged
+   automaton is stable under both merges, so when elimination then
+   changes nothing the round is skipped.  Running [run] on its own
+   result therefore shrinks nothing further. *)
 
 let cost (a : Fsa.t) = (a.Fsa.num_states, Fsa.size a)
 
 let run (a : Fsa.t) =
-  let a0 = dedup (Fsa.trim a) in
-  let a1 = stay_elim a0 in
-  let a1 = if Fsa.size a1 <= Fsa.size a0 then a1 else a0 in
-  let a2 = dedup (Fsa.trim (merge a1)) in
-  if cost a2 <= cost a0 then a2 else a0
+  let rec settle ~merged a =
+    let s = stay_elim a in
+    if merged && s == a then a
+    else
+      let s = if Fsa.size s <= Fsa.size a then s else a in
+      let m = merge_both (dedup (Fsa.trim s)) in
+      if cost m < cost a then settle ~merged:true m else a
+  in
+  settle ~merged:false (dedup (Fsa.trim a))
 
 (* ------------------------------------------------------------------ *)
 (* Memo, keyed on physical identity like the Runtime index memo (the

@@ -8,9 +8,11 @@
     - {b stay-transition elimination}: an all-heads-stationary step is an
       ε-like move; where sound under halting acceptance it is deleted or
       composed away;
-    - {b equivalent-state merging}: the coarsest bisimulation by
-      partition refinement, merging states with identical finality and
-      outgoing behaviour;
+    - {b equivalent-state merging}: partition refinement in both
+      directions — forward (Moore) bisimulation merges states with
+      identical finality and outgoing behaviour, backward bisimulation
+      merges states with identical incoming behaviour, keeping the start
+      state and every final state unmerged;
     - {b shape analysis}: the Section 5 taxonomy — per-tape head
       direction and the unidirectional / right-restricted / general
       classification — that {!Runtime} dispatches acceptance kernels on
@@ -50,10 +52,19 @@ val describe : Fsa.t -> string
 (** {1 The optimization pass} *)
 
 val run : Fsa.t -> Fsa.t
-(** [run a] is the optimized automaton: trim, deduplicate, eliminate
-    stay transitions, merge bisimilar states, trim again.  Pure; accepts
-    exactly the tuples [a] accepts; never has more states or transitions
-    than the trimmed, deduplicated input. *)
+(** [run a] is the optimized automaton: trim ({!Fsa.trim}) and
+    deduplicate, then repeat rounds of stay-transition elimination,
+    trimming and merging while a round shrinks the automaton.  Merging
+    runs a forward pass, then a backward pass, then alternates
+    directions while the last pass merged something, so a round's
+    result is stable in both.  [run (run a)] is no smaller than
+    [run a].  Pure; accepts exactly the tuples [a] accepts.
+
+    Cost guard: the result never has more states, nor (with as many
+    states) more transitions, than [a] trimmed and deduplicated; when
+    the passes end up larger, that trimmed input is returned.  The rejecting sink
+    {!Fsa.trim} may add does not break the guard, since it replaces a
+    dropped state: neither trim adds states or transitions. *)
 
 val optimized : Fsa.t -> Fsa.t
 (** [run], memoized on the FSA's physical identity in the ["optimize"]

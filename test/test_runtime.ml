@@ -182,29 +182,39 @@ let dfa_tests =
 
 (* ------------------------------------------------------- frontier kernel *)
 
+(* Edit distance ≤ d through the frontier kernel on 300 rows, checked
+   against [Edit_distance.within].  After the optimize pass, d = 2 has
+   56 states and fits one bitset word; d = 3 has 82 ([wide]), so its
+   state sets span two words. *)
+let check_edit_rows ~d ~wide =
+  let fsa =
+    Compile.compile dna ~vars:[ "u"; "v" ] (Combinators.edit_distance_le "u" "v" d)
+  in
+  let o = Optimize.optimized fsa in
+  if wide then
+    check_bool "more states than one 63-bit word" true (o.Fsa.num_states > 63);
+  check_string "kernel" "one-way frontier" (Runtime.kernel_name o);
+  let g = Prng.create 71 in
+  for i = 0 to 299 do
+    let u = Prng.string g dna (i mod 11) in
+    let v =
+      if i mod 3 = 0 then Prng.string_upto g dna 12
+      else Workload.mutate g dna ~edits:(i mod 5) u
+    in
+    check_bool
+      (Printf.sprintf "(%S, %S)" u v)
+      (Edit_distance.within u v d)
+      (Run.accepts fsa [ u; v ])
+  done
+
 (* Multi-tape one-way automata, acceptance graphs and rows over the
    scratch budget; random one-way formulae are in test_qcheck.ml. *)
 let frontier_tests =
   [
     tc "state sets wider than one word: edit distance ≤ 2" (fun () ->
-        let fsa =
-          Compile.compile dna ~vars:[ "u"; "v" ] (Combinators.edit_distance_le "u" "v" 2)
-        in
-        let o = Optimize.optimized fsa in
-        check_bool "more states than one 63-bit word" true (o.Fsa.num_states > 63);
-        check_string "kernel" "one-way frontier" (Runtime.kernel_name o);
-        let g = Prng.create 71 in
-        for i = 0 to 299 do
-          let u = Prng.string g dna (i mod 11) in
-          let v =
-            if i mod 3 = 0 then Prng.string_upto g dna 12
-            else Workload.mutate g dna ~edits:(i mod 5) u
-          in
-          check_bool
-            (Printf.sprintf "(%S, %S)" u v)
-            (Edit_distance.within u v 2)
-            (Run.accepts fsa [ u; v ])
-        done);
+        check_edit_rows ~d:2 ~wide:false);
+    tc "two-word state sets: edit distance ≤ 3" (fun () ->
+        check_edit_rows ~d:3 ~wide:true);
     tc "three tapes: concat3 ≡ string concatenation" (fun () ->
         let fsa =
           Compile.compile dna ~vars:[ "x"; "y"; "z" ] (Combinators.concat3 "x" "y" "z")
