@@ -284,7 +284,7 @@ let run (a : Fsa.t) =
     if merged && s == a then a
     else
       let s = if Fsa.size s <= Fsa.size a then s else a in
-      let m = merge_both (dedup (Fsa.trim s)) in
+      let m = merge_both (if s == a then a else dedup (Fsa.trim s)) in
       if cost m < cost a then settle ~merged:true m else a
   in
   settle ~merged:false (dedup (Fsa.trim a))
