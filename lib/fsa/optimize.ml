@@ -270,10 +270,10 @@ let merge_both a =
 
    A round eliminates stay transitions, trims the states elimination
    cuts off (they would otherwise count as sources in backward
-   signatures) and merges.  Merging can leave new stay transitions to eliminate, so
-   rounds repeat while one shrinks the automaton — but a merged
-   automaton is stable under both merges, so when elimination then
-   changes nothing the round is skipped.  Running [run] on its own
+   signatures) and merges.  Merging can leave new stay transitions to
+   eliminate, so rounds repeat while one shrinks the automaton — but a
+   merged automaton is stable under both merges, so when elimination
+   then changes nothing the round is skipped.  Running [run] on its own
    result therefore shrinks nothing further. *)
 
 let cost (a : Fsa.t) = (a.Fsa.num_states, Fsa.size a)
