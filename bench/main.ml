@@ -62,7 +62,7 @@ let fig6 () =
 (* -------------------------------------------------------------------- E1 *)
 
 (* The twelve Section 2 example queries, shared by the E1 section and the
-   runtime before/after bench (R1). *)
+   conjunct-fusion bench (F1). *)
 let e1_queries () =
   [
     ( "Q1 second component of acga-pairs",
@@ -414,9 +414,9 @@ let strategy_ablation () =
 
 (* Before/after for the packed/indexed runtime: the naive reference
    implementations stay in the tree (Run.accepts_naive,
-   Generate.accepted_naive, the Runtime toggle for the whole pipeline),
-   so the comparison runs on identical workloads in one process.  The
-   numbers land in BENCH_runtime.json for the perf trajectory. *)
+   Generate.accepted_naive), so the comparison runs on identical
+   workloads in one process.  The numbers land in BENCH_runtime.json
+   for the perf trajectory. *)
 let runtime_bench () =
   B.section "R1 — packed/indexed runtime vs naive reference";
   let g = Prng.create 123 in
@@ -467,34 +467,6 @@ let runtime_bench () =
         (name, max_len, naive, fast))
       gen_cases
   in
-  (* The E1 query suite end-to-end, runtime off vs. on.  Each query is
-     evaluated repeatedly (time_per_run), the steady-state workload the
-     compile memo targets: with the runtime off every run recompiles its
-     string formulas from scratch, with it on the compiled FSAs and their
-     dispatch indices are reused across runs. *)
-  let db = Workload.genomic_db ~seed:11 ~n:(if quick then 8 else 16) ~len:6 in
-  let queries = e1_queries () in
-  let run_suite () =
-    List.map
-      (fun (name, free, phi) ->
-        let q = Query.make ~free phi in
-        let dt = B.time_per_run ~min_time:0.3 (fun () -> Query.run dna db q) in
-        (name, dt))
-      queries
-  in
-  Runtime.set_enabled false;
-  Runtime.clear_cache ();
-  Compile.clear_cache ();
-  let before = run_suite () in
-  Runtime.set_enabled true;
-  Runtime.clear_cache ();
-  Compile.clear_cache ();
-  let after = run_suite () in
-  let total l = List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 l in
-  let before_total = total before and after_total = total after in
-  Printf.printf "  E1 suite: naive %.1f ms, runtime %.1f ms, speedup %.2fx\n%!"
-    (before_total *. 1e3) (after_total *. 1e3)
-    (before_total /. after_total);
   (* Emit the JSON record. *)
   let path = json_path "BENCH_runtime.json" in
   let oc = open_out path in
@@ -520,146 +492,7 @@ let runtime_bench () =
         name max_len (naive *. 1e9) (fast *. 1e9) (naive /. fast)
         (if i = List.length gen_rows - 1 then "" else ","))
     gen_rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"e1_suite\": {\n";
-  Printf.fprintf oc "    \"before_ms\": %.2f,\n" (before_total *. 1e3);
-  Printf.fprintf oc "    \"after_ms\": %.2f,\n" (after_total *. 1e3);
-  Printf.fprintf oc "    \"speedup\": %.2f,\n" (before_total /. after_total);
-  Printf.fprintf oc "    \"queries\": [\n";
-  List.iteri
-    (fun i ((name, b), (_, a)) ->
-      Printf.fprintf oc
-        "      {\"name\": %S, \"before_ms\": %.2f, \"after_ms\": %.2f}%s\n" name
-        (b *. 1e3) (a *. 1e3)
-        (if i = List.length before - 1 then "" else ","))
-    (List.combine before after);
-  Printf.fprintf oc "    ]\n";
-  Printf.fprintf oc "  }\n";
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "  wrote %s\n%!" path
-
-(* -------------------------------------------------------------------- P1 *)
-
-(* Domain-parallel evaluation.  Two workloads, measured at 1/2/4/8
-   domains plus the sequential naive-reference baseline (Runtime
-   disabled, domains=1 — the same "before" engine R1 measures):
-
-     - the E1 twelve-query suite on the genomic database, batch-parallel
-       σ_A filtering and generator expansion inside Query.run;
-     - the E9 restructuring query (concat3 generator over pair_db).
-
-   The scaling series is honest about the host: on a single-core
-   container all domain counts collapse onto one core and the >1-domain
-   rows only show pool overhead; the parallel win appears on multi-core
-   hosts (CI runs the suite with STRDB_DOMAINS=4).  The headline speedup
-   therefore compares the 4-domain fast engine against the sequential
-   naive baseline, the end-to-end before/after of this PR series. *)
-let parallel_bench () =
-  B.section "P1 — domain-parallel evaluation: scaling and cache hit rates";
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  Printf.printf "  host: %d core(s) recommended by the runtime\n%!"
-    (Domain.recommended_domain_count ());
-  let min_time = if quick then 0.1 else 0.3 in
-  let db = Workload.genomic_db ~seed:11 ~n:(if quick then 8 else 12) ~len:6 in
-  let queries = e1_queries () in
-  let run_e1 ~domains () =
-    List.fold_left
-      (fun acc (_, free, phi) ->
-        let q = Query.make ~free phi in
-        acc +. B.time_per_run ~min_time (fun () -> Query.run ~domains dna db q))
-      0.0 queries
-  in
-  let e9_db =
-    Workload.pair_db b2 ~seed:21 ~name:"pair" ~n:(if quick then 24 else 48) ~len:2
-  in
-  let e9_q =
-    Query.make ~free:[ "x" ]
-      (Formula.exists_many [ "u"; "v" ]
-         (Formula.and_list
-            [
-              Formula.Rel ("pair", [ "u"; "v" ]);
-              Formula.Str (Combinators.concat3 "x" "u" "v");
-            ]))
-  in
-  let run_e9 ~domains () =
-    B.time_per_run ~min_time (fun () -> Query.run ~domains b2 e9_db e9_q)
-  in
-  (* Sequential naive baseline: runtime disabled, one domain. *)
-  Runtime.set_enabled false;
-  Runtime.clear_cache ();
-  Compile.clear_cache ();
-  let e1_naive = run_e1 ~domains:1 () in
-  let e9_naive = run_e9 ~domains:1 () in
-  Runtime.set_enabled true;
-  Printf.printf "  sequential naive baseline: E1 %.1f ms, E9 %.2f ms\n%!"
-    (e1_naive *. 1e3) (e9_naive *. 1e3);
-  (* Fast engine at each domain count, with memo counters per sweep
-     (clearing a memo zeroes its counters). *)
-  Runtime.clear_cache ();
-  Compile.clear_cache ();
-  Optimize.clear_cache ();
-  Product.clear_cache ();
-  Limitation.clear_cache ();
-  Generate.clear_spec_cache ();
-  let series =
-    List.map
-      (fun d ->
-        let e1 = run_e1 ~domains:d () in
-        let e9 = run_e9 ~domains:d () in
-        Printf.printf
-          "  domains=%-2d E1 %8.1f ms (%5.2fx vs naive)   E9 %7.2f ms (%5.2fx vs naive)\n%!"
-          d (e1 *. 1e3) (e1_naive /. e1) (e9 *. 1e3) (e9_naive /. e9);
-        (d, e1, e9))
-      domain_counts
-  in
-  let memos = Memo.registered () in
-  let rate (m : Memo.stats) =
-    let total = m.hits + m.misses in
-    if total = 0 then 0.0 else float_of_int m.hits /. float_of_int total
-  in
-  List.iter
-    (fun (name, (m : Memo.stats)) ->
-      Printf.printf
-        "  %-10s memo: %d hits / %d misses / %d evictions (%.1f%% hit rate, %d entries)\n%!"
-        name m.hits m.misses m.evictions (100.0 *. rate m) m.entries)
-    memos;
-  let e1_at d = let (_, e1, _) = List.find (fun (d', _, _) -> d' = d) series in e1 in
-  let headline = e1_naive /. e1_at 4 in
-  Printf.printf
-    "  headline: 4-domain fast engine vs sequential naive baseline on E1: %.2fx\n%!"
-    headline;
-  (* Emit the JSON record. *)
-  let path = json_path "BENCH_parallel.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"parallel\",\n";
-  Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
-  Printf.fprintf oc "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.fprintf oc "  \"e1_naive_sequential_ms\": %.2f,\n" (e1_naive *. 1e3);
-  Printf.fprintf oc "  \"e9_naive_sequential_ms\": %.3f,\n" (e9_naive *. 1e3);
-  Printf.fprintf oc "  \"scaling\": [\n";
-  List.iteri
-    (fun i (d, e1, e9) ->
-      Printf.fprintf oc
-        "    {\"domains\": %d, \"e1_ms\": %.2f, \"e1_speedup_vs_naive\": %.2f, \
-         \"e9_ms\": %.3f, \"e9_speedup_vs_naive\": %.2f}%s\n"
-        d (e1 *. 1e3) (e1_naive /. e1) (e9 *. 1e3) (e9_naive /. e9)
-        (if i = List.length series - 1 then "" else ","))
-    series;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"speedup_4_domains_vs_sequential_baseline\": %.2f,\n" headline;
-  Printf.fprintf oc "  \"cache_stats\": {\n";
-  List.iteri
-    (fun i (name, (m : Memo.stats)) ->
-      Printf.fprintf oc
-        "    %S: {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \
-         \"entries\": %d, \"hit_rate\": %.4f}%s\n"
-        name m.hits m.misses m.evictions m.entries (rate m)
-        (if i = List.length memos - 1 then "" else ","))
-    memos;
-  Printf.fprintf oc "  }\n";
+  Printf.fprintf oc "  ]\n";
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "  wrote %s\n%!" path
@@ -1122,279 +955,15 @@ let index_bench () =
   close_out oc;
   Printf.printf "  wrote %s\n%!" path
 
-(* V1 — the query server: cold planning vs cached-plan execution on an
-   E1/Q7-style mix, then a load generator driving concurrent client
-   connections through the wire protocol.  In-process by default; set
-   STRDB_SERVE_SOCKET to point the load phase at an externally booted
-   [strdb serve] (CI's smoke does) — answers are then not cross-checked,
-   only counted. *)
-let serve_bench () =
-  B.section "V1 — strdb serve: plan cache and concurrent-connection load";
-  let motif = "acgtgacgta" in
-  let n = if quick then 2_000 else 50_000 in
-  let len = 20 in
-  (* Selective Q7 side: a server's repeated queries are worth caching
-     when planning (compile, fusion products, certification, index
-     probes) is a real fraction of the request, i.e. when the probes
-     leave few survivor rows to execute over.  The 10-char motif makes
-     every factor probe nearly exact, so cached execution touches only
-     the planted rows. *)
-  let hit_rate = if quick then 0.01 else 0.001 in
-  let min_time = if quick then 0.05 else 0.3 in
-  let planted = Workload.planted_motif_db ~seed:101 ~n ~len ~motif ~hit_rate in
-  (* The paper's E1 pair relation rides along so the mix exercises both
-     regimes: plan-dominated example queries over 16 pairs next to
-     probe-dominated motif scans over [n] sequences. *)
-  let genomic = Workload.genomic_db ~seed:11 ~n:16 ~len:6 in
-  let db =
-    Database.of_list
-      [
-        ("seq", Database.find planted "seq");
-        ("pair", Database.find genomic "pair");
-      ]
-  in
-  let st = Store.create dna db in
-  let any = "(a+c+g+t)*" in
-  let s_of re = Sformula.to_string (Regex_embed.matches "x" (Regex.parse re)) in
-  (* One wire line per query; the local reference parses the same line,
-     so both sides of every comparison evaluate the same formula. *)
-  let e1_mix =
-    [
-      ( "E1-equal",
-        "pair(u,v) & S{" ^ Sformula.to_string (Combinators.equal_s "u" "v") ^ "}" );
-      ( "E1-concat",
-        "pair(u,v) & S{"
-        ^ Sformula.to_string (Combinators.concat3 "x" "u" "v")
-        ^ "}" );
-      ( "E1-occurs",
-        "pair(u,v) & S{" ^ Sformula.to_string (Combinators.occurs_in "u" "v") ^ "}" );
-      ( "E1-edit2",
-        "pair(u,v) & S{"
-        ^ Sformula.to_string (Combinators.edit_distance_le "u" "v" 2)
-        ^ "}" );
-    ]
-  in
-  let q7_mix =
-    [
-      ("Q7-motif", Printf.sprintf "seq(x) & S{%s}" (s_of (any ^ motif ^ any)));
-      ("Q7-anchored", Printf.sprintf "seq(x) & S{%s}" (s_of (motif ^ any)));
-      ( "fused-triple",
-        Printf.sprintf "seq(x) & S{%s} & S{%s} & S{%s}"
-          (s_of (any ^ "acgtga" ^ any))
-          (s_of (any ^ "gtgacg" ^ any))
-          (s_of (any ^ "gacgta" ^ any)) );
-      ( "negated-guard",
-        Printf.sprintf "seq(x) & S{%s} & ~S{%s}"
-          (s_of (any ^ motif ^ any))
-          (s_of (any ^ "ggggg" ^ any)) );
-    ]
-  in
-  let mix = e1_mix @ q7_mix in
-  let clear_engine_caches () =
-    Compile.clear_cache ();
-    Runtime.clear_cache ();
-    Optimize.clear_cache ();
-    Product.clear_cache ();
-    Limitation.clear_cache ()
-  in
-  (* --- cold prepare+execute vs cached-plan execution --------------- *)
-  let cold_rows =
-    List.map
-      (fun (name, wire) ->
-        let phi = Sparser.formula wire in
-        let free = Formula.free_vars phi in
-        let run_split () =
-          clear_engine_caches ();
-          match Eval.prepare ~store:st dna db ~free phi with
-          | Error e -> failwith ("serve bench: " ^ name ^ ": " ^ e)
-          | Ok plan -> (plan, Eval.execute plan)
-        in
-        let plan, first = run_split () in
-        let answers =
-          match first with
-          | Ok rows -> List.length rows
-          | Error e -> failwith ("serve bench: " ^ name ^ ": " ^ e)
-        in
-        let cold =
-          B.time_per_run ~min_time (fun () -> ignore (run_split ()))
-        in
-        let plan_t =
-          B.time_per_run ~min_time (fun () ->
-              clear_engine_caches ();
-              ignore (Eval.prepare ~store:st dna db ~free phi))
-        in
-        let cached =
-          B.time_per_run ~min_time (fun () -> ignore (Eval.execute plan))
-        in
-        if Eval.execute plan <> first then
-          failwith ("serve bench: " ^ name ^ ": cached plan answers drifted");
-        Printf.printf
-          "  %-10s cold %9.2f ms  (plan %9.2f ms)  cached exec %9.2f ms  \
-           %6.1fx  answers %d\n%!"
-          name (cold *. 1e3) (plan_t *. 1e3) (cached *. 1e3) (cold /. cached)
-          answers;
-        (name, cold, plan_t, cached, answers))
-      mix
-  in
-  let mix_cold = List.fold_left (fun a (_, c, _, _, _) -> a +. c) 0.0 cold_rows
-  and mix_cached =
-    List.fold_left (fun a (_, _, _, c, _) -> a +. c) 0.0 cold_rows
-  in
-  Printf.printf "  %-10s cold %9.2f ms                      cached exec %9.2f \
-                 ms  %6.1fx\n%!"
-    "mix" (mix_cold *. 1e3) (mix_cached *. 1e3) (mix_cold /. mix_cached);
-  (* --- load generator over the wire -------------------------------- *)
-  let external_socket = Sys.getenv_opt "STRDB_SERVE_SOCKET" in
-  let srv, socket =
-    match external_socket with
-    | Some path -> (None, path)
-    | None ->
-        let path = Filename.temp_file "strdb_bench" ".sock" in
-        let cfg =
-          Server.config ~workers:8 ~backlog:64 ~store:st ~socket:path dna db
-        in
-        (Some (Server.start cfg), path)
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Server.stop srv) @@ fun () ->
-  (* An external server (CI's smoke) hosts only the planted relation, so
-     the pair-based E1 queries stay local-only. *)
-  let load_mix =
-    match external_socket with Some _ -> q7_mix | None -> mix
-  in
-  let wires = Array.of_list (List.map snd load_mix) in
-  let expected =
-    (* Only checkable against the in-process server: an external one
-       serves its own database. *)
-    match srv with
-    | None -> None
-    | Some _ ->
-        Some
-          (Array.map
-             (fun wire ->
-               let phi = Sparser.formula wire in
-               match Eval.run ~store:st dna db ~free:(Formula.free_vars phi) phi with
-               | Ok rows -> rows
-               | Error e -> failwith ("serve bench: " ^ e))
-             wires)
-  in
-  let requests_per_client = if quick then 40 else 200 in
-  let client_counts = if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let drive i =
-    let c = Client.connect socket in
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-    let lat = Array.make requests_per_client 0.0 in
-    let errors = ref 0 in
-    for j = 0 to requests_per_client - 1 do
-      let q = (i + j) mod Array.length wires in
-      let t0 = Unix.gettimeofday () in
-      (match (Client.query c wires.(q), expected) with
-      | Ok rows, Some want -> if rows <> want.(q) then incr errors
-      | Ok _, None -> ()
-      | Error _, _ -> incr errors);
-      lat.(j) <- Unix.gettimeofday () -. t0
-    done;
-    (lat, !errors)
-  in
-  let percentile sorted p =
-    let m = Array.length sorted in
-    if m = 0 then nan
-    else sorted.(min (m - 1) (int_of_float (p *. float_of_int (m - 1) +. 0.5)))
-  in
-  let load_rows =
-    List.map
-      (fun clients ->
-        let t0 = Unix.gettimeofday () in
-        let domains =
-          List.init clients (fun i -> Domain.spawn (fun () -> drive i))
-        in
-        let results = List.map Domain.join domains in
-        let wall = Unix.gettimeofday () -. t0 in
-        let lats =
-          Array.concat (List.map (fun (lat, _) -> lat) results)
-        in
-        Array.sort compare lats;
-        let errors = List.fold_left (fun a (_, e) -> a + e) 0 results in
-        let total = clients * requests_per_client in
-        let rps = float_of_int total /. wall in
-        let p50 = percentile lats 0.5 *. 1e3 in
-        let p99 = percentile lats 0.99 *. 1e3 in
-        Printf.printf
-          "  load C=%d  %5d req  %8.0f req/s  p50 %7.3f ms  p99 %7.3f ms  \
-           errors %d\n%!"
-          clients total rps p50 p99 errors;
-        if errors > 0 then
-          failwith "serve bench: load phase saw errors or divergent answers";
-        (clients, total, rps, p50, p99, errors))
-      client_counts
-  in
-  let cache_stats =
-    Option.map (fun s -> Plan_cache.stats (Server.cache s)) srv
-  in
-  (* --- JSON -------------------------------------------------------- *)
-  let path = json_path "BENCH_serve.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"serve\",\n";
-  Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
-  Printf.fprintf oc "  \"n\": %d,\n" n;
-  Printf.fprintf oc "  \"len\": %d,\n" len;
-  Printf.fprintf oc "  \"motif\": %S,\n" motif;
-  Printf.fprintf oc "  \"external_server\": %b,\n"
-    (Option.is_some external_socket);
-  Printf.fprintf oc "  \"cold_vs_cached\": [\n";
-  List.iteri
-    (fun i (name, cold, plan_t, cached, answers) ->
-      Printf.fprintf oc
-        "    {\"query\": %S, \"cold_ms\": %.3f, \"plan_ms\": %.3f, \
-         \"cached_exec_ms\": %.3f, \"speedup\": %.2f, \"answers\": %d}%s\n"
-        name (cold *. 1e3) (plan_t *. 1e3) (cached *. 1e3) (cold /. cached)
-        answers
-        (if i = List.length cold_rows - 1 then "" else ","))
-    cold_rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"mix\": {\"cold_ms\": %.3f, \"cached_exec_ms\": %.3f, \"speedup\": \
-     %.2f},\n"
-    (mix_cold *. 1e3) (mix_cached *. 1e3) (mix_cold /. mix_cached);
-  Printf.fprintf oc "  \"load\": [\n";
-  List.iteri
-    (fun i (clients, total, rps, p50, p99, errors) ->
-      Printf.fprintf oc
-        "    {\"clients\": %d, \"requests\": %d, \"throughput_rps\": %.1f, \
-         \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"errors\": %d}%s\n"
-        clients total rps p50 p99 errors
-        (if i = List.length load_rows - 1 then "" else ","))
-    load_rows;
-  (match cache_stats with
-  | None -> Printf.fprintf oc "  ]\n"
-  | Some s ->
-      Printf.fprintf oc "  ],\n";
-      Printf.fprintf oc
-        "  \"plan_cache\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \
-         \"entries\": %d, \"bound\": %d}\n"
-        s.Plan_cache.hits s.Plan_cache.misses s.Plan_cache.evictions
-        s.Plan_cache.entries s.Plan_cache.bound);
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "  wrote %s\n%!" path
-
 let only_runtime = Array.exists (fun a -> a = "runtime") Sys.argv
-let only_parallel = Array.exists (fun a -> a = "parallel") Sys.argv
 let only_fusion = Array.exists (fun a -> a = "fusion") Sys.argv
 let only_index = Array.exists (fun a -> a = "index") Sys.argv
-let only_serve = Array.exists (fun a -> a = "serve") Sys.argv
 
 let () =
   if only_runtime then begin
     Printf.printf "strdb benchmark harness — runtime section only (%s mode)\n"
       (if quick then "quick" else "full");
     runtime_bench ();
-    exit 0
-  end;
-  if only_parallel then begin
-    Printf.printf "strdb benchmark harness — parallel section only (%s mode)\n"
-      (if quick then "quick" else "full");
-    parallel_bench ();
     exit 0
   end;
   if only_fusion then begin
@@ -1407,12 +976,6 @@ let () =
     Printf.printf "strdb benchmark harness — index section only (%s mode)\n"
       (if quick then "quick" else "full");
     index_bench ();
-    exit 0
-  end;
-  if only_serve then begin
-    Printf.printf "strdb benchmark harness — serve section only (%s mode)\n"
-      (if quick then "quick" else "full");
-    serve_bench ();
     exit 0
   end;
   Printf.printf "strdb benchmark harness — %s mode\n"
@@ -1433,8 +996,6 @@ let () =
   grammar_bench ();
   lba_bench ();
   runtime_bench ();
-  parallel_bench ();
   fusion_bench ();
   index_bench ();
-  serve_bench ();
   Printf.printf "\nall experiment sections completed.\n"

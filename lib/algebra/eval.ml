@@ -189,7 +189,7 @@ let conjunct_cost sigma ~vars s =
   match Strdb_calculus.Compile.compile sigma ~vars s with
   | exception _ -> (max_int, max_int, max_int)
   | fsa ->
-      let fsa = Strdb_fsa.Run.optimize fsa in
+      let fsa = Strdb_fsa.Optimize.optimized fsa in
       ( Strdb_fsa.Optimize.shape_rank (Strdb_fsa.Optimize.shape_of fsa),
         fsa.Strdb_fsa.Fsa.num_states,
         Strdb_fsa.Fsa.size fsa )
@@ -205,7 +205,7 @@ let by_cost sigma vars_of l =
    automaton that will actually run (a compiled conjunct or a fused
    product) looks like, and which acceptance kernel will run on it. *)
 let annotate_fsa ~kernel fsa =
-  let fsa = Strdb_fsa.Run.optimize fsa in
+  let fsa = Strdb_fsa.Optimize.optimized fsa in
   Printf.sprintf "%s; %s"
     (Strdb_fsa.Optimize.describe fsa)
     (match kernel with
@@ -333,7 +333,7 @@ let index_prune st sigma strs (r, args) =
               match Strdb_calculus.Compile.compile sigma ~vars:[ v ] s with
               | exception _ -> ()
               | fsa -> (
-                  match Factors.necessary ~q:qg (Strdb_fsa.Run.optimize fsa) with
+                  match Factors.necessary ~q:qg (Strdb_fsa.Optimize.optimized fsa) with
                   | Factors.Top -> ()
                   | Factors.Factors fs -> (
                       match Store.candidates st ~rel:r ~col:j ~factors:fs with
@@ -558,7 +558,12 @@ let prepare_unsafe ?store sigma db ~free phi =
                        grows with |Q|. *)
                     emit
                       (Plan.Gen
-                         { fsa = Strdb_fsa.Run.optimize fsa; known; unknown; bound = b });
+                         {
+                           fsa = Strdb_fsa.Optimize.optimized fsa;
+                           known;
+                           unknown;
+                           bound = b;
+                         });
                     extend unknown;
                     remaining :=
                       List.filter

@@ -56,7 +56,7 @@ type exec_step =
       bound : Strdb_fsa.Limitation.bound;
     }  (** generate the [unknown] columns from the [known] ones within
           the certified per-row bound (frame is [known @ unknown]).
-          [fsa] is the optimized automaton ({!Strdb_fsa.Run.optimize}
+          [fsa] is the optimized automaton ({!Strdb_fsa.Optimize.optimized}
           of the certified conjunct or fused product), so each row's
           Lemma 3.1 specialisation starts from the merged states. *)
   | NegFilter of Strdb_calculus.Formula.t

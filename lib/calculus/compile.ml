@@ -272,10 +272,8 @@ let stats () = Memo.stats cache
 let clear_cache () = Memo.clear cache
 
 let compile ?(trim = true) sigma ~vars phi =
-  if not (Strdb_fsa.Runtime.enabled ()) then compile_uncached ~trim sigma ~vars phi
-  else
-    Memo.find_or_add cache
-      (Strdb_util.Alphabet.chars sigma, vars, phi, trim)
-      (fun _ -> compile_uncached ~trim sigma ~vars phi)
+  Memo.find_or_add cache
+    (Strdb_util.Alphabet.chars sigma, vars, phi, trim)
+    (fun _ -> compile_uncached ~trim sigma ~vars phi)
 
 let compile_ordered sigma phi = compile sigma ~vars:(Sformula.vars phi) phi

@@ -33,10 +33,9 @@ val compile :
     [trim] (default true) prunes useless states — property 3; pass [false]
     for the size-ablation benches.
 
-    Results are memoized on [(sigma, vars, phi, trim)] while the
-    {!Strdb_fsa.Runtime} is enabled, in the ["compile"]
-    {!Strdb_util.Memo} (256 entries): repeated compilations (per
-    conjunct, per query) return the same — physically shared —
+    Results are memoized on [(sigma, vars, phi, trim)] in the
+    ["compile"] {!Strdb_util.Memo} (256 entries): repeated compilations
+    (per conjunct, per query) return the same — physically shared —
     automaton, which also lets the runtime's per-FSA dispatch index hit
     its memo.  Eviction drops one least-recently-used entry at a time
     (never a full reset, so hot entries keep their physical identity

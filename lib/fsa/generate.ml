@@ -1,8 +1,8 @@
 (* Two enumerators of a k-FSA's bounded language: the naive reference
    (string-valued committed prefixes, one configuration at a time,
    List.filter dispatch — the original code) and the output-trie walk
-   over packed configuration sets.  [accepted] picks per the Runtime
-   toggle; the qcheck suite asserts they agree. *)
+   over packed configuration sets, which [accepted] runs; the qcheck
+   suite asserts they agree. *)
 
 (* ------------------------------------------------------------------ *)
 (* Naive reference implementation. *)
@@ -407,9 +407,7 @@ let walk rt (a : Fsa.t) ~max_len ~first =
 
 let accepted_fast a ~max_len = walk (Runtime.index a) a ~max_len ~first:false
 
-let accepted a ~max_len =
-  if Runtime.enabled () then accepted_fast (Optimize.optimized a) ~max_len
-  else accepted_naive a ~max_len
+let accepted a ~max_len = accepted_fast (Optimize.optimized a) ~max_len
 
 (* Optimized-specialization memo for the generator pipeline, keyed on
    the automaton's physical identity plus the bound input strings.  A
@@ -440,19 +438,14 @@ let specialized a inputs =
   Strdb_util.Memo.find_or_add spec_cache (a, inputs) specialize_optimized
 
 let outputs a ~inputs ~max_len =
-  if Runtime.enabled () then
-    let spec, rt = specialized a inputs in
-    walk rt spec ~max_len ~first:false
-  else accepted_naive (Specialize.specialize a inputs) ~max_len
+  let spec, rt = specialized a inputs in
+  walk rt spec ~max_len ~first:false
 
 let is_empty_upto ?(inputs = []) a ~max_len =
-  if not (Runtime.enabled ()) then
-    accepted_naive (Specialize.specialize a inputs) ~max_len = []
-  else
-    let spec, rt =
-      if inputs = [] then
-        let a = Optimize.optimized a in
-        (a, Runtime.index a)
-      else specialized a inputs
-    in
-    walk rt spec ~max_len ~first:true = []
+  let spec, rt =
+    if inputs = [] then
+      let a = Optimize.optimized a in
+      (a, Runtime.index a)
+    else specialized a inputs
+  in
+  walk rt spec ~max_len ~first:true = []

@@ -25,8 +25,7 @@ val accepted : Fsa.t -> max_len:int -> string list list
     without having examined the whole of some tape, all extensions of the
     committed prefix up to [max_len] are accepted and are all enumerated.
 
-    With the {!Runtime} enabled (default) this is {!accepted_fast} on
-    {!Optimize.optimized}[ a]; otherwise {!accepted_naive}. *)
+    This is {!accepted_fast} on {!Optimize.optimized}[ a]. *)
 
 val accepted_naive : Fsa.t -> max_len:int -> string list list
 (** The original enumerator (string-valued prefixes, one configuration at
@@ -34,8 +33,8 @@ val accepted_naive : Fsa.t -> max_len:int -> string list list
     {!accepted} and {!outputs} against. *)
 
 val accepted_fast : Fsa.t -> max_len:int -> string list list
-(** The output-trie walk on [a] itself, regardless of the toggle (for
-    direct cross-checking in tests and benches).  Configurations are
+(** The output-trie walk on [a] itself, unoptimized (for direct
+    cross-checking in tests and benches).  Configurations are
     packed ints over {!Runtime.layout} with [max_len + 2] head positions
     per tape and fire through [a]'s {!Runtime.index}.  The scratch — a
     worklist, a generation-stamped open-addressing set cleared per node,
@@ -51,16 +50,15 @@ val outputs : Fsa.t -> inputs:string list -> max_len:int -> string list list
 
     The product grows with [a]'s state count, so the query pipeline
     passes the optimized automaton: a plan's [Gen] step carries
-    {!Run.optimize} of its conjunct.
+    {!Optimize.optimized} of its conjunct.
 
-    With the {!Runtime} enabled, the specialized product is run through
-    [Optimize.run] (trimming usually collapses it drastically) and the
-    result is memoized with its private dispatch index on [(a, inputs)]
-    in the ["generate"] {!Strdb_util.Memo} (512 entries, hashed on the
-    input strings, domain-safe), so repeated expansions of the same
-    bound row amortize the Lemma 3.1 construction and the index.  The
-    output-trie walk ({!accepted_fast}) then enumerates the
-    specialisation. *)
+    The specialized product is run through [Optimize.run] (trimming
+    usually collapses it drastically) and the result is memoized with
+    its private dispatch index on [(a, inputs)] in the ["generate"]
+    {!Strdb_util.Memo} (512 entries, hashed on the input strings,
+    domain-safe), so repeated expansions of the same bound row amortize
+    the Lemma 3.1 construction and the index.  The output-trie walk
+    ({!accepted_fast}) then enumerates the specialisation. *)
 
 val clear_spec_cache : unit -> unit
 (** Drop memoized optimized specializations and zero the memo's

@@ -76,33 +76,21 @@ let search ~order (a : Fsa.t) ws0 =
 let accepts_naive a ws = search ~order:`Bfs a ws
 let accepts_dfs a ws = search ~order:`Dfs a ws
 
-(* Optimization rides the runtime toggle: with the runtime disabled we
-   are the naive reference baseline and must stay fully untouched. *)
-let optimize a = if Runtime.enabled () then Optimize.optimized a else a
-
-(* What a row needs, resolved once: the automaton the input is checked
-   against and, with the runtime on, its optimized form with that
-   form's dispatch index.  The two memo lookups happen here, so a
-   per-row loop takes none. *)
-type prepared = { fsa : Fsa.t; fast : (Fsa.t * Runtime.t) option }
+(* What a row needs, resolved once: the optimized automaton and its
+   dispatch index.  The two memo lookups happen here, so a per-row loop
+   takes none.  Optimizing keeps the arity and the alphabet, so the
+   input is checked against the optimized automaton. *)
+type prepared = { fsa : Fsa.t; rt : Runtime.t }
 
 let prepare a =
-  let fast =
-    if Runtime.enabled () then
-      let a' = Optimize.optimized a in
-      Some (a', Runtime.index a')
-    else None
-  in
-  { fsa = a; fast }
+  let fsa = Optimize.optimized a in
+  { fsa; rt = Runtime.index fsa }
 
 let accepts_prepared p ws =
   check_input p.fsa ws;
-  match p.fast with
-  | Some (a', rt) when Runtime.enabled () -> (
-      match Runtime.accepts_indexed rt ws with
-      | Some b -> b
-      | None -> accepts_naive a' ws)
-  | _ -> accepts_naive p.fsa ws
+  match Runtime.accepts_indexed p.rt ws with
+  | Some b -> b
+  | None -> accepts_naive p.fsa ws
 
 let accepts a ws = accepts_prepared (prepare a) ws
 

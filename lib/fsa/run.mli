@@ -24,8 +24,9 @@ val successors : Fsa.t -> string array -> config -> config list
 
 val accepts : Fsa.t -> string list -> bool
 (** [accepts a ws] decides [ws ∈ L(a)] by search over the configuration
-    graph (Theorem 3.3): the packed, indexed engine of {!Runtime} when
-    available (and enabled), the naive search otherwise.
+    graph (Theorem 3.3) on {!Optimize.optimized}[ a]: the packed,
+    indexed engine of {!Runtime} when it applies, the naive search
+    otherwise.
     @raise Invalid_argument if the tuple arity differs from the FSA's or a
     string uses characters outside the alphabet. *)
 
@@ -37,13 +38,9 @@ val accepts_batch :
     FSA, many independent rows, one {!prepare} for the batch.
     @raise Invalid_argument as {!accepts}, re-raised on the caller. *)
 
-val optimize : Fsa.t -> Fsa.t
-(** The automaton acceptance actually runs: {!Optimize.optimized} while
-    the {!Runtime} is enabled, the automaton itself otherwise. *)
-
 type prepared
-(** An automaton resolved for repeated acceptance: with the {!Runtime}
-    enabled, its optimized form and that form's dispatch index. *)
+(** An automaton resolved for repeated acceptance: its optimized form
+    and that form's dispatch index. *)
 
 val prepare : Fsa.t -> prepared
 (** Resolve an automaton once, looking up the optimize and index memos;
@@ -51,8 +48,7 @@ val prepare : Fsa.t -> prepared
 
 val accepts_prepared : prepared -> string list -> bool
 (** [accepts a] on a prepared automaton: the input is still checked on
-    every call, and disabling the {!Runtime} afterwards still selects
-    the naive search. *)
+    every call. *)
 
 val accepts_naive : Fsa.t -> string list -> bool
 (** The reference decision procedure: breadth-first search with

@@ -1,16 +1,8 @@
 module A = Strdb_util.Alphabet
 module Memo = Strdb_util.Memo
 
-(* ------------------------------------------------------------------ *)
-(* Global fast-path toggle.  The naive reference implementations stay
-   available (Run.accepts_naive, Generate.accepted_naive); flipping this
-   off makes the public entry points use them, which is how the benches
-   measure before/after on identical workloads.  Atomic: the flag is
-   read on every accepts/compile call, including from pool workers. *)
-
-let enabled_flag = Atomic.make true
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
+(* Always true: kept only for perfbench/layers.ml, which still asks. *)
+let enabled () = true
 
 (* ------------------------------------------------------------------ *)
 (* A monomorphic int hash set with open addressing: the visited set of
@@ -666,17 +658,14 @@ let accepts_indexed rt ws0 =
         | decided -> decided)
   else packed_accepts rt a ws0
 
-let try_accepts (a : Fsa.t) ws0 =
-  if enabled () then accepts_indexed (index a) ws0 else None
+let try_accepts (a : Fsa.t) ws0 = accepts_indexed (index a) ws0
 
 (* Which acceptance kernel [try_accepts] would run for this automaton —
    for Eval.explain and the CLI. *)
 let kernel_name (a : Fsa.t) =
-  if not (enabled ()) then "naive search"
+  let rt = index a in
+  if not (indexable rt) then "naive search"
   else
-    let rt = index a in
-    if not (indexable rt) then "naive search"
-    else
-      match dfa_kernel rt with
-      | Some d -> Printf.sprintf "one-way DFA, %d states" d.table.num_states
-      | None -> if rt.oneway then "one-way frontier" else "two-way packed"
+    match dfa_kernel rt with
+    | Some d -> Printf.sprintf "one-way DFA, %d states" d.table.num_states
+    | None -> if rt.oneway then "one-way frontier" else "two-way packed"

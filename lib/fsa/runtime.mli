@@ -18,20 +18,11 @@
       into one int whenever [states·Π(nᵢ+2)] fits in an OCaml int,
       giving an allocation-free search with a flat bitmap (small key
       spaces) or a monomorphic open-addressing int set (large ones) as
-      the visited set;
-    - a {b global toggle} consulted by [Run], [Generate] and
-      [Compile]: with the runtime disabled they fall back to the naive
-      reference implementations, which is how the benches measure
-      before/after and how the qcheck suite cross-checks semantics. *)
+      the visited set. *)
 
 val enabled : unit -> bool
-(** Is the fast runtime switched on (default: yes)?  The flag is an
-    [Atomic.t]: reading it from pool workers is safe. *)
-
-val set_enabled : bool -> unit
-(** Toggle the fast paths ([Run.accepts], [Generate.accepted], the
-    [Compile.compile] memo cache).  The naive implementations are always
-    reachable directly regardless of the toggle. *)
+(** Always [true]: the runtime can no longer be switched off.  Kept only
+    because [perfbench/layers.ml] still calls it. *)
 
 (** {1 Transition dispatch} *)
 
@@ -139,21 +130,20 @@ val try_accepts : Fsa.t -> string list -> bool option
     - {b two-way packed}: everything else runs the general two-way
       search (Theorem 3.3) with a bitmap or int-set visited set.
 
-    [None] when the runtime is disabled, the FSA is not indexable, or
-    the input is not packable (and, if one-way, over the frontier
-    budget); the caller then uses the naive search.  Assumes the input
-    was validated ([Run.accepts] does this).  [try_accepts a] is
-    {!accepts_indexed} on [index a]: a memo lookup per call. *)
+    [None] when the FSA is not indexable or the input is not packable
+    (and, if one-way, over the frontier budget); the caller then uses
+    the naive search.  Assumes the input was validated ([Run.accepts]
+    does this).  [try_accepts a] is {!accepts_indexed} on [index a]: a
+    memo lookup per call. *)
 
 val accepts_indexed : t -> string list -> bool option
 (** The kernel {!try_accepts} dispatches to, on an index already
     resolved: what a batch runs per row, after one {!index} lookup per
-    batch.  Does not consult {!enabled}. *)
+    batch. *)
 
 val kernel_name : Fsa.t -> string
 (** Which acceptance kernel {!try_accepts} would run for this automaton:
     ["one-way DFA, N states"], ["one-way frontier"], ["two-way packed"],
-    or ["naive search"] when the runtime is disabled or the FSA is not
-    indexable — for [Eval.explain], the server's [EXPLAIN] and the CLI.
-    Naming the DFA builds it, the work the first accepted row would
-    otherwise do. *)
+    or ["naive search"] when the FSA is not indexable — for
+    [Eval.explain], the server's [EXPLAIN] and the CLI.  Naming the DFA
+    builds it, the work the first accepted row would otherwise do. *)

@@ -53,12 +53,7 @@ let shape_tests =
         check_string "one-tape one-way kernel" "one-way DFA, 4 states"
           (Runtime.kernel_name lit);
         let mf = Optimize.run (compile2 (Combinators.manifold "x" "y")) in
-        check_string "two-way kernel" "two-way packed" (Runtime.kernel_name mf);
-        Runtime.set_enabled false;
-        Fun.protect
-          ~finally:(fun () -> Runtime.set_enabled true)
-          (fun () ->
-            check_string "disabled runtime" "naive search" (Runtime.kernel_name eq)));
+        check_string "two-way kernel" "two-way packed" (Runtime.kernel_name mf));
   ]
 
 (* ----------------------------------------------------------- rewrites *)

@@ -126,15 +126,6 @@ let acceptance_tests =
             [ "ac"; "gacga" ]; [ "ac"; "gtt" ]; [ ""; "" ]; [ ""; "a" ];
             [ "acgt"; "acgt" ]; [ "t"; "" ];
           ]);
-    tc "toggle: disabled runtime still answers identically" (fun () ->
-        let eq = Compile.compile b ~vars:[ "x"; "y" ] (Combinators.equal_s "x" "y") in
-        Runtime.set_enabled false;
-        let off = (Run.accepts eq [ "ab"; "ab" ], Run.accepts eq [ "ab"; "ba" ]) in
-        Runtime.set_enabled true;
-        let on = (Run.accepts eq [ "ab"; "ab" ], Run.accepts eq [ "ab"; "ba" ]) in
-        check_bool "same verdicts" true (off = on);
-        check_bool "accepts equal" true (fst on);
-        check_bool "rejects unequal" true (not (snd on)));
   ]
 
 (* ------------------------------------------------------------ DFA kernel *)
@@ -309,14 +300,6 @@ let cache_tests =
         check_bool "alphabet distinguishes" true (a1 != a4);
         let a5 = Compile.compile ~trim:false b ~vars:[ "x"; "y" ] phi in
         check_bool "trim flag distinguishes" true (a1 != a5));
-    tc "disabled runtime bypasses the memo" (fun () ->
-        Compile.clear_cache ();
-        Runtime.set_enabled false;
-        let phi = Combinators.equal_s "x" "y" in
-        let a1 = Compile.compile b ~vars:[ "x"; "y" ] phi in
-        let a2 = Compile.compile b ~vars:[ "x"; "y" ] phi in
-        Runtime.set_enabled true;
-        check_bool "not shared when disabled" true (a1 != a2));
     (* Regression: the memo used to evict by Hashtbl.reset when full,
        dropping every cached FSA at once and severing the physical
        identity chain the Runtime index cache composes with.  Eviction

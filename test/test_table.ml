@@ -99,32 +99,27 @@ let check_plan generated (p : Plan.t) =
     QCheck.Test.fail_reportf "the answer is not the deduplicated projection"
 
 let configs =
-  List.concat_map
-    (fun fuse ->
-      List.concat_map (fun index -> List.map (fun rt -> (fuse, index, rt)) [ true; false ]) [ true; false ])
-    [ true; false ]
+  List.concat_map (fun fuse -> List.map (fun index -> (fuse, index)) [ true; false ]) [ true; false ]
 
 let invariant_props =
   [
     Test_qcheck.prop_witnessed ~count:100 ~what:"whose generator emitted rows"
-      "every plan prefix's rows are duplicate-free, under fuse/index/runtime toggles"
+      "every plan prefix's rows are duplicate-free, under fuse/index toggles"
       arb_case
       (fun generated (db, phi) ->
         let st = Store.create b db in
         let free = F.free_vars phi in
-        let saved = (Product.enabled (), Store.enabled (), Runtime.enabled ()) in
+        let saved = (Product.enabled (), Store.enabled ()) in
         Fun.protect
           ~finally:(fun () ->
-            let fuse, index, rt = saved in
+            let fuse, index = saved in
             Product.set_enabled fuse;
-            Store.set_enabled index;
-            Runtime.set_enabled rt)
+            Store.set_enabled index)
           (fun () ->
             List.iter
-              (fun (fuse, index, rt) ->
+              (fun (fuse, index) ->
                 Product.set_enabled fuse;
                 Store.set_enabled index;
-                Runtime.set_enabled rt;
                 (* a fusable pair is built on its second request *)
                 if fuse then ignore (Eval.prepare ~store:st b db ~free phi);
                 match Eval.prepare ~store:st b db ~free phi with
