@@ -80,32 +80,85 @@ let is_necessary ~q fsa g =
   && A.contains_string fsa.Fsa.sigma g
   && not (avoidable fsa (kmp_delta fsa.Fsa.sigma g) (A.size fsa.Fsa.sigma) q)
 
+(* The characters consumed along one start-to-final path of the
+   transition graph, the path consuming the fewest (a 0-1 breadth-first
+   search: consuming transitions cost 1, all others 0), or [None] when
+   no final state is reachable.  The path's prefix up to its first
+   final state avoids every gram its string does not contain, so only
+   that string's grams can be necessary. *)
+let witness fsa =
+  let n = fsa.Fsa.num_states in
+  let dist = Array.make n max_int and via = Array.make n None in
+  let settled = Array.make n false in
+  let consumes t =
+    t.Fsa.moves.(0) = 1
+    && match t.Fsa.read.(0) with Symbol.Chr _ -> true | _ -> false
+  in
+  let rec path s acc =
+    match via.(s) with
+    | None -> acc
+    | Some t ->
+        path t.Fsa.src
+          (match t.Fsa.read.(0) with
+          | Symbol.Chr c when consumes t -> c :: acc
+          | _ -> acc)
+  in
+  (* [layer] holds states at distance [d], [next] those at [d + 1] *)
+  let rec search layer next =
+    match (layer, next) with
+    | [], [] -> None
+    | [], next -> search next []
+    | s :: layer, next when settled.(s) -> search layer next
+    | s :: layer, next ->
+        settled.(s) <- true;
+        if Fsa.is_final fsa s then
+          Some (String.of_seq (List.to_seq (path s [])))
+        else
+          let layer, next =
+            List.fold_left
+              (fun (layer, next) t ->
+                let w = if consumes t then 1 else 0 in
+                let d = t.Fsa.dst in
+                if dist.(s) + w < dist.(d) then begin
+                  dist.(d) <- dist.(s) + w;
+                  via.(d) <- Some t;
+                  if w = 0 then (d :: layer, next) else (layer, d :: next)
+                end
+                else (layer, next))
+              (layer, next) (Fsa.outgoing fsa s)
+          in
+          search layer next
+  in
+  dist.(fsa.Fsa.start) <- 0;
+  search [ fsa.Fsa.start ] []
+
 let necessary ~q fsa =
   if not (in_scope ~q fsa) then Top
   else begin
     let sigma = fsa.Fsa.sigma in
-    let base = A.size sigma in
-    (* Enumerate Σ^q in ascending rank order (odometer over ranks). *)
-    let ranks = Array.make q 0 in
-    let gram () = String.init q (fun i -> A.nth sigma ranks.(i)) in
-    let rec bump i =
-      i >= 0
-      &&
-      if ranks.(i) + 1 < base then begin
-        ranks.(i) <- ranks.(i) + 1;
-        true
-      end
-      else begin
-        ranks.(i) <- 0;
-        bump (i - 1)
-      end
+    let rec all q =
+      if q = 0 then [ "" ]
+      else
+        List.concat_map
+          (fun c -> List.map (fun g -> String.make 1 c ^ g) (all (q - 1)))
+          (A.chars sigma)
     in
-    let acc = ref [] in
-    let continue_ = ref true in
-    while !continue_ do
-      let g = gram () in
-      if not (avoidable fsa (kmp_delta sigma g) base q) then acc := g :: !acc;
-      continue_ := bump (q - 1)
-    done;
-    match List.rev !acc with [] -> Top | fs -> Factors fs
+    (* The grams to test, ascending in rank order: the witness string's,
+       or all of Σ^q when no final state is reachable. *)
+    let grams =
+      match witness fsa with
+      | None -> all q
+      | Some w ->
+          let ranks g = List.of_seq (Seq.map (A.rank sigma) (String.to_seq g)) in
+          List.init (max 0 (String.length w - q + 1)) (fun i -> String.sub w i q)
+          |> List.map (fun g -> (ranks g, g))
+          |> List.sort_uniq compare |> List.map snd
+    in
+    match
+      List.filter
+        (fun g -> not (avoidable fsa (kmp_delta sigma g) (A.size sigma) q))
+        grams
+    with
+    | [] -> Top
+    | fs -> Factors fs
   end

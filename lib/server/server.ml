@@ -161,6 +161,11 @@ let answer srv req =
           ]
       in
       let p = Strdb_fsa.Product.stats () in
+      let st =
+        match srv.cfg.store with
+        | Some st -> Store.probe_stats st
+        | None -> { Store.probes = 0; candidate_rows = 0; scanned_rows = 0 }
+      in
       Ok
         (List.map
            (fun (k, v) -> Printf.sprintf "%s %d" k v)
@@ -174,6 +179,9 @@ let answer srv req =
               ("busy_rejected", rejected);
               ("queries", queries);
               ("errors", errors);
+              ("store_probes", st.Store.probes);
+              ("store_candidate_rows", st.Store.candidate_rows);
+              ("store_scanned_rows", st.Store.scanned_rows);
             ]
            @ List.concat_map memo (Strdb_util.Memo.registered ())
            @ [

@@ -9,13 +9,24 @@ let set_enabled b = Atomic.set enabled_flag b
 
 (* ------------------------------------------------------------- layout *)
 
-(* One posting pool per column: [postings] holds the row ids of gram 0,
-   then gram 1, … — [offsets.(g) .. offsets.(g+1) - 1] is gram [g]'s
-   slice, ascending (rows are scanned in id order and deduplicated per
-   row, so each slice is sorted and duplicate-free by construction). *)
+(* One int32 pool per column holds every gram's postings in one
+   container chosen by density, as in the Roaring layout: a gram that
+   occurs in at least 1/32 of the column's [n] rows — [card.(g) >=
+   words], with [words = ⌈n/32⌉] — keeps a row bitmap of [words]
+   32-bit words (bit [i land 31] of word [i lsr 5] is row [i]), which
+   takes no more bytes than the [card] int32 ids it replaces; every
+   other gram keeps its ids ascending (rows are scanned in id order and
+   deduplicated per row, so each list is sorted and duplicate-free by
+   construction).  [offsets.(g)] is where gram [g]'s container starts,
+   so a probe is array reads and word operations, no hashing. *)
 type int32s = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type col_index = { offsets : int array; postings : int32s }
+type col_index = {
+  words : int;  (* ⌈n/32⌉: a bitmap's length, and the density threshold *)
+  card : int array;  (* gram ↦ rows containing it *)
+  offsets : int array;  (* gram ↦ start of its container in [pool] *)
+  pool : int32s;
+}
 
 type rel_index = {
   rows : string array array;  (* row id ↦ tuple, Database.find order *)
@@ -57,9 +68,7 @@ let row_count t r =
 let posting_entries t =
   Hashtbl.fold
     (fun _ ri acc ->
-      Array.fold_left
-        (fun acc c -> acc + Bigarray.Array1.dim c.postings)
-        acc ri.cols)
+      Array.fold_left (fun acc c -> Array.fold_left ( + ) acc c.card) acc ri.cols)
     t.rels 0
 
 (* -------------------------------------------------------------- build *)
@@ -87,35 +96,54 @@ let iter_codes sigma q shift base s f =
     done
   end
 
+(* A gram's container is a bitmap when it is non-empty and its [words]
+   32-bit words take no more room than its [card] int32 ids would. *)
+let is_dense ~words card = card > 0 && card >= words
+let dense ci g = is_dense ~words:ci.words ci.card.(g)
+
 let build_col sigma q space shift base rows col =
   let n = Array.length rows in
-  let counts = Array.make (space + 1) 0 in
+  let words = (n + 31) / 32 in
+  let card = Array.make space 0 in
   let stamp = Array.make space (-1) in
   for i = 0 to n - 1 do
     iter_codes sigma q shift base rows.(i).(col) (fun g ->
         if stamp.(g) <> i then begin
           stamp.(g) <- i;
-          counts.(g) <- counts.(g) + 1
+          card.(g) <- card.(g) + 1
         end)
   done;
-  (* prefix sums: offsets.(g) = start of gram g's slice *)
+  (* prefix sums over container sizes: offsets.(g) = start of gram g's *)
   let offsets = Array.make (space + 1) 0 in
   for g = 1 to space do
-    offsets.(g) <- offsets.(g - 1) + counts.(g - 1)
+    let c = card.(g - 1) in
+    offsets.(g) <- offsets.(g - 1) + if is_dense ~words c then words else c
   done;
-  let total = offsets.(space) in
-  let postings = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout total in
+  let pool =
+    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout offsets.(space)
+  in
+  Bigarray.Array1.fill pool 0l;
+  let ci = { words; card; offsets; pool } in
   let cursor = Array.copy offsets in
   Array.fill stamp 0 space (-1);
   for i = 0 to n - 1 do
     iter_codes sigma q shift base rows.(i).(col) (fun g ->
         if stamp.(g) <> i then begin
           stamp.(g) <- i;
-          Bigarray.Array1.unsafe_set postings cursor.(g) (Int32.of_int i);
-          cursor.(g) <- cursor.(g) + 1
+          if dense ci g then begin
+            let w = offsets.(g) + (i lsr 5) in
+            Bigarray.Array1.unsafe_set pool w
+              (Int32.logor
+                 (Bigarray.Array1.unsafe_get pool w)
+                 (Int32.shift_left 1l (i land 31)))
+          end
+          else begin
+            Bigarray.Array1.unsafe_set pool cursor.(g) (Int32.of_int i);
+            cursor.(g) <- cursor.(g) + 1
+          end
         end)
   done;
-  { offsets; postings }
+  ci
 
 let create ?q sigma db =
   Db.check_alphabet sigma db;
@@ -179,32 +207,100 @@ let codes_of_factor t f acc =
     Some !r
   end
 
-let slice ci g = (ci.offsets.(g), ci.offsets.(g + 1))
+(* Bit tricks on one 32-bit bitmap word held in a non-negative int. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) land 0xFFFFFFFF) lsr 24
 
-let slice_to_array ci g =
-  let lo, hi = slice ci g in
-  Array.init (hi - lo) (fun i ->
-      Int32.to_int (Bigarray.Array1.unsafe_get ci.postings (lo + i)))
-
-(* Intersect the current candidate array with one posting slice:
-   both ascending, two-pointer merge. *)
-let intersect_slice ci g cur =
-  let lo, hi = slice ci g in
-  let out = Array.make (min (Array.length cur) (hi - lo)) 0 in
-  let k = ref 0 and i = ref 0 and j = ref lo in
-  while !i < Array.length cur && !j < hi do
-    let a = cur.(!i)
-    and b = Int32.to_int (Bigarray.Array1.unsafe_get ci.postings !j) in
-    if a = b then begin
-      out.(!k) <- a;
-      incr k;
-      incr i;
-      incr j
-    end
-    else if a < b then incr i
-    else incr j
+(* de Bruijn table: the index of the power of two [p < 2^32] is
+   [log2.(((p * 0x077CB531) land 0xFFFFFFFF) lsr 27)] *)
+let log2 =
+  let t = Array.make 32 0 in
+  for i = 0 to 31 do
+    t.((((1 lsl i) * 0x077CB531) land 0xFFFFFFFF) lsr 27) <- i
   done;
-  Array.sub out 0 !k
+  t
+
+(* [f] of each row of word [w] whose bit is set in [x], ascending. *)
+let iter_bits w x f =
+  let x = ref x in
+  while !x <> 0 do
+    let low = !x land (- !x) in
+    f ((w lsl 5) + log2.(((low * 0x077CB531) land 0xFFFFFFFF) lsr 27));
+    x := !x lxor low
+  done
+
+let word ci g w =
+  Int32.to_int (Bigarray.Array1.unsafe_get ci.pool (ci.offsets.(g) + w))
+  land 0xFFFFFFFF
+
+let mem_dense ci g i =
+  Int32.to_int (Bigarray.Array1.unsafe_get ci.pool (ci.offsets.(g) + (i lsr 5)))
+  land (1 lsl (i land 31))
+  <> 0
+
+let id_at ci j = Int32.to_int (Bigarray.Array1.unsafe_get ci.pool j)
+
+(* Rows in every bitmap of [gs] (all dense): AND the words, count the
+   surviving bits, then list them. *)
+let and_bitmaps ci gs =
+  let conj w =
+    let x = ref (word ci gs.(0) w) and j = ref 1 in
+    while !x <> 0 && !j < Array.length gs do
+      x := !x land word ci gs.(!j) w;
+      incr j
+    done;
+    !x
+  in
+  let count = ref 0 in
+  for w = 0 to ci.words - 1 do
+    count := !count + popcount (conj w)
+  done;
+  let out = Array.make !count 0 and k = ref 0 in
+  for w = 0 to ci.words - 1 do
+    iter_bits w (conj w) (fun i ->
+        out.(!k) <- i;
+        incr k)
+  done;
+  out
+
+(* Rows in the id list of sparse [g0] and in each container of [gs]:
+   filter the ids in place, by a bit test against a bitmap and by a
+   two-pointer merge against another id list. *)
+let filter_ids ci g0 gs =
+  let lo = ci.offsets.(g0) in
+  let cur = Array.init ci.card.(g0) (fun i -> id_at ci (lo + i)) in
+  let len = ref (Array.length cur) in
+  Array.iter
+    (fun g ->
+      let k = ref 0 in
+      if dense ci g then
+        for i = 0 to !len - 1 do
+          if mem_dense ci g cur.(i) then begin
+            cur.(!k) <- cur.(i);
+            incr k
+          end
+        done
+      else begin
+        let i = ref 0 and j = ref ci.offsets.(g) in
+        let hi = !j + ci.card.(g) in
+        while !i < !len && !j < hi do
+          let a = cur.(!i) and b = id_at ci !j in
+          if a = b then begin
+            cur.(!k) <- a;
+            incr k;
+            incr i;
+            incr j
+          end
+          else if a < b then incr i
+          else incr j
+        done
+      end;
+      len := !k)
+    gs;
+  if !len = Array.length cur then cur else Array.sub cur 0 !len
 
 let intersect_ids a b =
   let out = Array.make (min (Array.length a) (Array.length b)) 0 in
@@ -248,22 +344,19 @@ let candidates t ~rel ~col ~factors =
           Some [||]
       | Some [] -> None (* ⊤: no usable q-gram constraint *)
       | Some codes ->
-          (* smallest posting list first: every later intersection is
-             bounded by the running candidate count *)
-          let codes =
-            List.sort
-              (fun a b ->
-                compare (snd (slice ci a) - fst (slice ci a))
-                  (snd (slice ci b) - fst (slice ci b)))
-              codes
+          (* smallest container first: every later step is bounded by
+             the running candidate count, and since density grows with
+             the count, a dense smallest container means all are dense *)
+          let gs =
+            Array.of_list
+              (List.sort (fun a b -> compare ci.card.(a) ci.card.(b)) codes)
           in
-          let first = List.hd codes in
-          let cur = ref (slice_to_array ci first) in
-          List.iter
-            (fun g -> if Array.length !cur > 0 then cur := intersect_slice ci g !cur)
-            (List.tl codes);
-          record t ~candidates:(Array.length !cur) ~scanned;
-          Some !cur)
+          let ids =
+            if dense ci gs.(0) then and_bitmaps ci gs
+            else filter_ids ci gs.(0) (Array.sub gs 1 (Array.length gs - 1))
+          in
+          record t ~candidates:(Array.length ids) ~scanned;
+          Some ids)
 
 let candidates_atleast t ~rel ~col ~factors ~min_hits =
   match lookup t ~rel ~col with
@@ -287,13 +380,18 @@ let candidates_atleast t ~rel ~col ~factors ~min_hits =
         end
         else begin
           let hits = Array.make scanned 0 in
+          let hit i = hits.(i) <- hits.(i) + 1 in
           List.iter
             (fun g ->
-              let lo, hi = slice ci g in
-              for j = lo to hi - 1 do
-                let i = Int32.to_int (Bigarray.Array1.unsafe_get ci.postings j) in
-                hits.(i) <- hits.(i) + 1
-              done)
+              if dense ci g then
+                for w = 0 to ci.words - 1 do
+                  iter_bits w (word ci g w) hit
+                done
+              else
+                let lo = ci.offsets.(g) in
+                for j = lo to lo + ci.card.(g) - 1 do
+                  hit (id_at ci j)
+                done)
             !codes;
           let count = ref 0 in
           Array.iter (fun h -> if h >= min_hits then incr count) hits;

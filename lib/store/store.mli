@@ -4,9 +4,14 @@
     {e every} row — the wall at millions of strings.  This module keeps,
     per relation column, a {b q-gram inverted index}: for each of the
     [|Σ|^q] grams, the ascending list of row ids whose string contains
-    it.  Posting lists are packed [int32] slices of one flat buffer per
-    column, addressed by a dense [offsets] table — a probe is two array
-    reads and an intersection of sorted runs, no hashing.
+    it.  Each gram's postings sit in one container chosen by density, as
+    in the Roaring layout: a gram occurring in at least 1/32 of the
+    column's rows keeps a row bitmap (never larger than the [int32] id
+    list it replaces), every other gram a sorted [int32] id list; all
+    containers share one flat buffer per column, addressed by a dense
+    [offsets] table.  A probe intersects the containers smallest first
+    by word AND, bit test or merge — array reads and word operations,
+    no hashing.
 
     Two probe primitives cover the two query families of the
     similarity-retrieval literature:
@@ -55,7 +60,9 @@ val row_count : t -> string -> int
 (** Rows of an indexed relation (0 when unknown). *)
 
 val posting_entries : t -> int
-(** Total posting-list entries across all indexes (memory telemetry). *)
+(** The number of (row, gram) pairs indexed, across all columns: what
+    the postings would hold as id lists (memory telemetry; bitmap
+    containers store the same pairs in fewer bytes). *)
 
 val candidates :
   t -> rel:string -> col:int -> factors:string list -> int array option

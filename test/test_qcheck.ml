@@ -91,18 +91,28 @@ let prop ?(count = 100) name arb f =
     (QCheck.Test.make ~count ~name arb f)
 
 (* [prop], for a property that only means something on some cases: [f]
-   gets a [witness] callback to call on each such case, and the run
-   fails when no generated case called it, so the property cannot pass
-   vacuously. *)
-let prop_witnessed ?count ~what name arb f =
-  let seen = ref 0 in
-  let name, speed, run = prop ?count name arb (f (fun () -> incr seen)) in
+   gets a [witness] callback to call with the kind of each such case,
+   one of [whats], and the run fails when some kind was never
+   witnessed, so the property cannot pass vacuously. *)
+let prop_witnessed_all ?count ~whats name arb f =
+  let seen = Hashtbl.create 4 in
+  let name, speed, run =
+    prop ?count name arb (f (fun what -> Hashtbl.replace seen what ()))
+  in
   ( name,
     speed,
     fun () ->
-      seen := 0;
+      Hashtbl.reset seen;
       run ();
-      if !seen = 0 then Alcotest.failf "no generated case %s" what )
+      List.iter
+        (fun what ->
+          if not (Hashtbl.mem seen what) then
+            Alcotest.failf "no generated case %s" what)
+        whats )
+
+let prop_witnessed ?count ~what name arb f =
+  prop_witnessed_all ?count ~whats:[ what ] name arb (fun witness ->
+      f (fun () -> witness what))
 
 (* --- properties ------------------------------------------------------------ *)
 
@@ -392,6 +402,81 @@ let truncation_props =
         gen = brute);
   ]
 
+(* A one-column relation over the binary or DNA alphabet (0–300 rows
+   of length 0–12, q from 1 to 4) and probes of it: factor lists with
+   short factors, substrings of stored rows and foreign characters,
+   each with a hit threshold.  One character of the alphabet is rare:
+   at most 12 rows may hold it, so grams holding it fall below the
+   store's 1/32 density threshold on a large relation, while grams of
+   the common characters lie above it. *)
+let arb_store_case =
+  let open QCheck.Gen in
+  let gen =
+    oneofl [ Alphabet.binary; Alphabet.dna ] >>= fun sigma ->
+    int_range 1 4 >>= fun q ->
+    let chars = Alphabet.chars sigma in
+    oneofl chars >>= fun rare ->
+    let common = List.filter (( <> ) rare) chars in
+    let row cs = string_size ~gen:(oneofl cs) (int_bound 12) in
+    int_bound 300 >>= fun n ->
+    int_bound (min n 12) >>= fun r ->
+    list_repeat (n - r) (row common) >>= fun plain ->
+    list_repeat r (row chars) >>= fun marked ->
+    let rows = plain @ marked in
+    let substring rows =
+      oneofl rows >>= fun s ->
+      int_bound (String.length s) >>= fun i ->
+      int_bound (String.length s - i) >>= fun l -> return (String.sub s i l)
+    in
+    let short = string_size ~gen:(oneofl chars) (int_bound 3) in
+    let factor =
+      frequency
+        ([
+           (4, string_size ~gen:(oneofl chars) (int_bound 6));
+           (1, map2 (fun a b -> a ^ "z" ^ b) short short);
+         ]
+        @ (if rows = [] then [] else [ (3, substring rows) ])
+        @ if marked = [] then [] else [ (3, substring marked) ])
+    in
+    list_size (int_range 1 6)
+      (pair (list_size (int_bound 4) factor) (int_range (-1) 4))
+    >>= fun probes -> return (sigma, q, rows, probes)
+  in
+  QCheck.make gen ~print:(fun (sigma, q, rows, probes) ->
+      Printf.sprintf "Σ=%s q=%d rows=[%s] probes=[%s]"
+        (String.of_seq (List.to_seq (Alphabet.chars sigma)))
+        q
+        (String.concat ";" rows)
+        (String.concat "; "
+           (List.map
+              (fun (fs, h) -> Printf.sprintf "{%s}≥%d" (String.concat "," fs) h)
+              probes)))
+
+(* Random unidirectional one-variable formulae, half of them of the
+   shape φ·w·ψ around a literal w of length 2–5, so that some grams are
+   necessary. *)
+let arb_infix_sformula =
+  let open QCheck.Gen in
+  let phi = gen_sformula ~allow_right:false [ "x" ] in
+  let read c = Sformula.left [ "x" ] (Window.Is_char ("x", c)) in
+  let literal w =
+    String.fold_left
+      (fun acc c -> Sformula.Concat (acc, read c))
+      (read w.[0])
+      (String.sub w 1 (String.length w - 1))
+  in
+  QCheck.make ~print:Sformula.to_string
+    (frequency
+       [
+         (1, phi);
+         ( 1,
+           map3
+             (fun a w c -> Sformula.Concat (a, Sformula.Concat (literal w, c)))
+             phi
+             (string_size ~gen:gen_char (int_range 2 5))
+             phi );
+       ])
+
 let store_props =
   (* One fixed binary-alphabet relation (lengths 0–6, so some rows have
      q-grams and some don't) probed by random unidirectional one-variable
@@ -419,6 +504,85 @@ let store_props =
             Store.set_enabled false;
             let toggled = Eval.run ~store:st b db ~free phi in
             indexed = plain && toggled = plain));
+    (* Both probes against brute-force containment (Strmatch): a row
+       contains the factors when it contains each of their q-windows,
+       and meets a threshold when it contains enough distinct
+       exact-length factors. *)
+    prop_witnessed ~count:300
+      ~what:"intersecting a row bitmap with a non-empty id list"
+      "candidates and candidates_atleast ≡ brute-force containment"
+      arb_store_case (fun mixed (sigma, q, rows, probes) ->
+        let db = Database.add Database.empty "r" ~arity:1 (List.map (fun s -> [ s ]) rows) in
+        let st = Store.create ~q sigma db in
+        let stored = List.map (function [ s ] -> s | _ -> assert false) (Database.find db "r") in
+        let ids p =
+          List.concat (List.mapi (fun i s -> if p s then [ i ] else []) stored)
+        in
+        let occurs s g = Strmatch.occurs ~pattern:g s in
+        let windows f = List.init (max 0 (String.length f - q + 1)) (fun i -> String.sub f i q) in
+        (* the store's density rule, for the witness *)
+        let words = (List.length stored + 31) / 32 in
+        let card g = List.length (List.filter (fun s -> occurs s g) stored) in
+        let all_of fs =
+          if List.exists (fun f -> not (Alphabet.contains_string sigma f)) fs then Some []
+          else
+            match List.concat_map windows fs with
+            | [] -> None
+            | gs ->
+                let cards = List.map card gs in
+                if List.exists (fun c -> c > 0 && c >= words) cards
+                   && List.exists (fun c -> c > 0 && c < words) cards
+                then mixed ();
+                Some (ids (fun s -> List.for_all (occurs s) gs))
+        in
+        let at_least fs min_hits =
+          if min_hits <= 0 then None
+          else
+            let gs =
+              List.sort_uniq compare
+                (List.filter
+                   (fun f -> String.length f = q && Alphabet.contains_string sigma f)
+                   fs)
+            in
+            if List.length gs < min_hits then Some []
+            else
+              Some
+                (ids (fun s ->
+                     List.length (List.filter (occurs s) gs) >= min_hits))
+        in
+        let got o = Option.map Array.to_list o in
+        List.for_all
+          (fun (fs, min_hits) ->
+            got (Store.candidates st ~rel:"r" ~col:0 ~factors:fs) = all_of fs
+            && got (Store.candidates_atleast st ~rel:"r" ~col:0 ~factors:fs ~min_hits)
+               = at_least fs min_hits)
+          probes);
+    (* The witness bound drops only grams one accepting path of the
+       graph avoids, so it must keep exactly the grams the sweep keeps,
+       on the compiled automaton and on the optimized one. *)
+    prop_witnessed_all ~count:300
+      ~whats:
+        [ "accepting λ"; "with no path to a final state"; "with a necessary gram" ]
+      "witness-bounded Factors.necessary ≡ the is_necessary sweep over Σ^q"
+      (QCheck.pair arb_infix_sformula
+         (QCheck.make ~print:string_of_int (QCheck.Gen.oneofl [ 2; 3 ])))
+      (fun witness (s, q) ->
+        let fsa = Compile.compile b ~vars:[ "x" ] s in
+        if Run.accepts fsa [ "" ] then witness "accepting λ";
+        if not (Fsa.useful_states fsa).(fsa.Fsa.start) then
+          witness "with no path to a final state";
+        if Factors.necessary ~q fsa <> Factors.Top then
+          witness "with a necessary gram";
+        let rec all q =
+          if q = 0 then [ "" ]
+          else List.concat_map (fun c -> List.map (fun g -> String.make 1 c ^ g) (all (q - 1))) [ 'a'; 'b' ]
+        in
+        List.for_all
+          (fun a ->
+            let sweep = List.filter (Factors.is_necessary ~q a) (all q) in
+            Factors.necessary ~q a
+            = if sweep = [] then Factors.Top else Factors.Factors sweep)
+          [ fsa; Optimize.optimized fsa ]);
   ]
 
 (* Random relations of arity 0–2 (possibly empty) and an empty one of

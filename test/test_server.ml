@@ -153,6 +153,42 @@ let protocol_tests =
                         "busy_rejected"; "queries"; "errors";
                       ]
                       (List.filteri (fun i _ -> i < 9) (List.map fst kv)))));
+    tc "STATS reports the server's store probes" (fun () ->
+        let db =
+          Workload.planted_motif_db ~seed:3 ~n:200 ~len:16 ~motif:"acgta"
+            ~hit_rate:0.05
+        in
+        let dna = Alphabet.dna in
+        let socket = Filename.temp_file "strdb_test" ".sock" in
+        let srv =
+          Server.start
+            (Server.config ~store:(Store.create dna db) ~socket dna db)
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            Server.stop srv;
+            try Sys.remove socket with Sys_error _ -> ())
+          (fun () ->
+            with_client socket (fun c ->
+                (match
+                   Client.query c
+                     "seq(x) & S{([x]l{T})*.[x]l{x='a'}.[x]l{x='c'}.[x]l{x='g'}.[x]l{x='t'}.[x]l{x='a'}.([x]l{T})*}"
+                 with
+                | Error e -> Alcotest.fail e
+                | Ok rows -> check_int "planted rows" 10 (List.length rows));
+                match Client.stats c with
+                | Error e -> Alcotest.fail e
+                | Ok kv ->
+                    let get k =
+                      match List.assoc_opt k kv with
+                      | Some v -> v
+                      | None -> Alcotest.failf "STATS missing %s" k
+                    in
+                    check_bool "the query probed the store" true
+                      (get "store_probes" >= 1);
+                    check_bool "candidates within the scanned rows" true
+                      (get "store_candidate_rows" <= get "store_scanned_rows");
+                    check_bool "rows scanned" true (get "store_scanned_rows" > 0))));
     tc "STATS: a cached plan is prepared once, so its filters stay unfused"
       (fun () ->
         with_server ~cache_bound:128 (fun _ socket ->
