@@ -38,10 +38,14 @@ val necessary : q:int -> Fsa.t -> verdict
     any input in its scope; never raises. *)
 
 val max_space : int
-(** Candidate-gram budget: the sweep enumerates all [|Σ|^q] grams, so
-    analyses with [|Σ|^q] above this bound return [Top]. *)
+(** Candidate-gram budget: analyses with [|Σ|^q] above this bound
+    return [Top] (with no start-to-final path, [necessary] enumerates
+    all [|Σ|^q] grams). *)
 
 val is_necessary : q:int -> Fsa.t -> string -> bool
 (** [is_necessary ~q a g] decides the single gram [g] (length [q],
     characters within the automaton's alphabet — anything else is
-    [false]).  [necessary] is the sweep of this test over [Σ^q]. *)
+    [false]).  [necessary] equals the sweep of this test over [Σ^q], but
+    runs it only on the q-grams of the string consumed along one
+    start-to-final path of [a]'s graph: that path avoids every other
+    gram.  With no such path it tests all of [Σ^q]. *)

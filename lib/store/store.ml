@@ -113,7 +113,8 @@ let build_col sigma q space shift base rows col =
           card.(g) <- card.(g) + 1
         end)
   done;
-  (* prefix sums over container sizes: offsets.(g) = start of gram g's *)
+  (* prefix sums over container sizes: offsets.(g) = start of gram g's
+     container *)
   let offsets = Array.make (space + 1) 0 in
   for g = 1 to space do
     let c = card.(g - 1) in
